@@ -2,7 +2,8 @@
 # Beyond `make test`: `make coverage` for a line-coverage gate and
 # `make chaos` for the fault-injection corpus replay.
 
-.PHONY: test bench bench-net bench-all coverage chaos recover race fleet fleet-chaos
+.PHONY: test bench bench-net bench-all coverage chaos recover race fleet fleet-chaos \
+	perfbench-smoke
 
 # Tier-1 suite (must stay green).
 test:
@@ -84,3 +85,16 @@ bench-net:
 # Every paper figure/table benchmark.
 bench-all:
 	PYTHONPATH=src python -m pytest benchmarks -q
+
+# Correctness smoke of the product-path benchmark: each workload runs
+# briefly at the pinned seed.  perfbench/run.py exits non-zero when a
+# correctness check fails or a pinned signature moves, which fails
+# the target; the timings themselves are not checked.
+PERFBENCH_WORKLOADS = xdp_filter xdp_firewall prog_load fleet_rollout
+
+perfbench-smoke:
+	@for workload in $(PERFBENCH_WORKLOADS); do \
+		echo "perfbench-smoke: $$workload"; \
+		python3 perfbench/run.py --workload $$workload --seed 1 \
+			--seconds 2 --trace 0 || exit 1; \
+	done

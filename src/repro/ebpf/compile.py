@@ -49,6 +49,8 @@ mode.
 
 from __future__ import annotations
 
+import functools
+from types import CodeType
 from typing import Dict, List, Tuple
 
 from repro.ebpf.predecode import (
@@ -70,6 +72,10 @@ _H32 = 1 << 31
 _F32 = 1 << 32
 
 _REG_LIST = "[r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10]"
+
+#: distinct frame sources whose code objects :func:`code_for` keeps
+#: (the bound of :class:`~repro.ebpf.progcache.ProgramLoadCache`)
+CODE_MEMO_ENTRIES = 128
 
 #: python comparison spelling per dense jump-condition id (J_SET is
 #: handled separately: it is a mask test, not a comparison)
@@ -492,6 +498,16 @@ def render_source(decoded: PredecodedProgram) -> Tuple[str,
     return "\n".join(writer.lines) + "\n", block_of
 
 
+@functools.lru_cache(maxsize=CODE_MEMO_ENTRIES)
+def code_for(source: str) -> CodeType:
+    """The code object for one rendered frame source, memoised
+    process-wide.  A code object is immutable and carries no program
+    state, so every load of byte-identical source — on any subsystem,
+    any node — can share it; each load still ``exec``s it into a fresh
+    namespace and gets its own frame function."""
+    return compile(source, "<bpf-compiled>", "exec")
+
+
 def compile_program(decoded: PredecodedProgram) -> CompiledProgram:
     """Lower a predecoded program to its compiled frame function."""
     source, entry_blocks = render_source(decoded)
@@ -501,7 +517,6 @@ def compile_program(decoded: PredecodedProgram) -> CompiledProgram:
         "_H64": _H64, "_F64": _F64, "_H32": _H32, "_F32": _F32,
         "int_from_bytes": int.from_bytes,
     }
-    code = compile(source, "<bpf-compiled>", "exec")
-    exec(code, namespace)  # noqa: S102 - trusted load-time toolchain
+    exec(code_for(source), namespace)  # noqa: S102 - trusted toolchain
     return CompiledProgram(namespace["_frame"], entry_blocks,
                            decoded.n_insns, source)

@@ -102,9 +102,11 @@ class _WalkRecord:
         self.done = False
         #: checkpoints awaiting commit: (insn_idx, state snapshot)
         self.trace: List[Tuple[int, VerifierState]] = []
-        #: checkpoint (position, state key) per insn, for loop
-        #: detection across this walk and its descendants
-        self.inflight: Dict[int, List[Tuple[int, tuple]]] = {}
+        #: insn -> state key -> checkpoint position, for loop
+        #: detection across this walk and its descendants.  A key is
+        #: entered at most once per record: a repeat within the
+        #: record is rejected as a loop before it could be entered
+        self.inflight: Dict[int, Dict[tuple, int]] = {}
         #: checkpoints taken so far (positions the entries above use)
         self.seq = 0
 
@@ -257,6 +259,7 @@ class Verifier:
                        fork_pos)
         self.stats.prune_hits = explored.prune_hits
         self.stats.states_explored = explored.states_stored
+        self.stats.max_states_per_insn = explored.largest_bucket()
 
     def _finish_walk(self, record: _WalkRecord,
                      explored: ExploredStates) -> None:
@@ -316,8 +319,10 @@ class Verifier:
                 node: Optional[_WalkRecord] = record
                 bound = record.seq
                 while node is not None:
-                    for pos, seen in node.inflight.get(insn_idx, ()):
-                        if pos < bound and seen == key:
+                    seen = node.inflight.get(insn_idx)
+                    if seen is not None:
+                        pos = seen.get(key)
+                        if pos is not None and pos < bound:
                             self._reject(
                                 f"infinite loop detected at insn "
                                 f"{insn_idx}")
@@ -327,9 +332,11 @@ class Verifier:
                     self.stats.prune_hits = explored.prune_hits
                     self._finish_walk(record, explored)
                     return
-                record.inflight.setdefault(insn_idx, []).append(
-                    (record.seq, key))
+                record.inflight.setdefault(insn_idx, {})[key] = \
+                    record.seq
                 record.seq += 1
+                # the snapshot's only copy: explored.remember takes
+                # ownership of it when the walk commits
                 record.trace.append((insn_idx, state.copy()))
 
             if self.config.log_level >= 2:
@@ -861,9 +868,18 @@ class Verifier:
 
     # -- conditional jumps -----------------------------------------------------
 
+    @staticmethod
+    def _fork(state: VerifierState) -> Tuple[VerifierState,
+                                             VerifierState]:
+        """Split the walk at a conditional jump: the taken side gets
+        a copy and the fall side carries on in ``state`` itself (the
+        walk holds no other reference to its pre-fork state)."""
+        return state.copy(), state
+
     def _do_cond_jmp(self, state: VerifierState, insn: Insn,
                      insn_idx: int):
-        """Returns "taken", "fall", or (taken_state, fall_state)."""
+        """Returns "taken", "fall", or (taken_state, fall_state); a
+        fork's fall state is ``state`` itself."""
         op = insn.opcode & isa.JMP_OP_MASK
         op_name = isa.JMP_OP_NAMES[op]
         is32 = insn.insn_class == isa.BPF_JMP32
@@ -890,7 +906,7 @@ class Verifier:
                 if dst.umax <= S32_MAX and src32.umax <= S32_MAX:
                     pass  # fall through to the 64-bit path below
                 else:
-                    return (state.copy(), state.copy())
+                    return self._fork(state)
             elif dst.is_const:
                 taken = self._concrete_jump(
                     op_name, dst.const_value & 0xFFFFFFFF,
@@ -899,7 +915,7 @@ class Verifier:
             elif dst.umax <= S32_MAX and 0 <= insn.imm <= S32_MAX:
                 pass  # semantics coincide; use the 64-bit refinement
             else:
-                return (state.copy(), state.copy())
+                return self._fork(state)
 
         if insn.opcode & isa.BPF_X:
             src: RegState = self._check_reg_read(state, insn.src,
@@ -910,8 +926,7 @@ class Verifier:
         # null-check pattern on or-null pointers
         if dst.type in OR_NULL_TYPES and op in (isa.BPF_JEQ, isa.BPF_JNE) \
                 and src.is_const and src.const_value == 0:
-            taken_state = state.copy()
-            fall_state = state.copy()
+            taken_state, fall_state = self._fork(state)
             if op == isa.BPF_JEQ:
                 self._mark_ptr_or_null(taken_state, dst.id, null=True)
                 self._mark_ptr_or_null(fall_state, dst.id, null=False)
@@ -929,7 +944,7 @@ class Verifier:
         if dst.is_pointer or src.is_pointer:
             if dst.type == src.type or src.is_const:
                 # pointer comparisons fork without refinement
-                return (state.copy(), state.copy())
+                return self._fork(state)
             self._reject(f"insn {insn_idx}: comparison of incompatible "
                          f"pointer types {dst.type.value} vs "
                          f"{src.type.value}")
@@ -938,8 +953,7 @@ class Verifier:
         if decided is not None:
             return "taken" if decided else "fall"
 
-        taken_state = state.copy()
-        fall_state = state.copy()
+        taken_state, fall_state = self._fork(state)
         self._refine(taken_state, insn, op_name, True)
         self._refine(fall_state, insn, op_name, False)
         return (taken_state, fall_state)
@@ -984,7 +998,7 @@ class Verifier:
             return None
         pkt = dst if orient == "direct" else src
         if not pkt.var_off.is_const:
-            return (state.copy(), state.copy())
+            return self._fork(state)
         proven = pkt.off + u64_to_s64(pkt.var_off.value)
 
         # which branch proves pkt(+off) <= pkt_end?
@@ -1000,9 +1014,8 @@ class Verifier:
             elif op == isa.BPF_JLT:      # end < pkt: fall is good
                 good_on_taken = False
         if good_on_taken is None:
-            return (state.copy(), state.copy())
-        taken_state = state.copy()
-        fall_state = state.copy()
+            return self._fork(state)
+        taken_state, fall_state = self._fork(state)
         good = taken_state if good_on_taken else fall_state
         good.packet_range = max(good.packet_range, proven)
         return (taken_state, fall_state)

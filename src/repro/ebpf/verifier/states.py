@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.ebpf.verifier.regstate import FuncFrame
+from repro.ebpf.verifier.regstate import FuncFrame, RegType, SlotKind
 
 
 @dataclass
@@ -105,18 +105,18 @@ class VerifierState:
             if my_frame.in_callback != their_frame.in_callback:
                 return False
             for my_reg, their_reg in zip(my_frame.regs, their_frame.regs):
-                if my_reg.type.value == "not_init":
+                if my_reg.type is RegType.NOT_INIT:
                     continue  # we didn't rely on it; anything is fine
                 if not my_reg.subsumes(their_reg):
                     return False
             # every stack slot we relied on must be covered
             for slot_index, my_slot in my_frame.stack.items():
                 their_slot = their_frame.stack.get(slot_index)
-                if my_slot.kind.value == "invalid":
+                if my_slot.kind is SlotKind.INVALID:
                     continue
                 if their_slot is None:
                     return False
-                if my_slot.kind != their_slot.kind:
+                if my_slot.kind is not their_slot.kind:
                     return False
                 if my_slot.reg is not None:
                     if their_slot.reg is None \
@@ -147,10 +147,20 @@ class ExploredStates:
         return False
 
     def remember(self, insn_idx: int, state: VerifierState) -> None:
-        """Record a state about to be explored from ``insn_idx``."""
+        """Record a state explored from ``insn_idx``.
+
+        Takes ownership of ``state``: the caller hands over a snapshot
+        nothing else holds (the walk's checkpoint copy), so it is
+        stored as is rather than copied a second time."""
         if not self.enabled:
             return
         bucket = self._by_insn.setdefault(insn_idx, [])
         if len(bucket) < self.max_states_per_insn:
-            bucket.append(state.copy())
+            bucket.append(state)
             self.states_stored += 1
+
+    def largest_bucket(self) -> int:
+        """States stored at the busiest instruction; it equals
+        :attr:`max_states_per_insn` once some instruction is full and
+        later states there are no longer remembered."""
+        return max(map(len, self._by_insn.values()), default=0)

@@ -3,13 +3,16 @@
 The differential suites prove the compiled tier *behaves* like the
 other engines; these tests pin the machinery itself — block splitting,
 frame entry points, the load-time compile cache, per-program engine
-pinning, and the lazy compile fallback for hand-built programs.
+pinning, the lazy compile fallback for hand-built programs, and the
+process-wide code-object memo.
 """
 
 import pytest
 
 from repro.ebpf.asm import Asm
-from repro.ebpf.compile import compile_program, render_source
+from repro.ebpf.bugs import BugConfig
+from repro.ebpf.compile import (
+    CODE_MEMO_ENTRIES, code_for, compile_program, render_source)
 from repro.ebpf.helpers import ids
 from repro.ebpf.interpreter import BpfVm
 from repro.ebpf.isa import R0, R1, R2, R3, R4
@@ -188,3 +191,66 @@ class TestLazyCompile:
         assert vm.compiles == 1
         assert vm.run(prog, ctx.base) == 10
         assert vm.compiles == 1  # cached on the program object
+
+
+def _div_then_branch_program():
+    # a conditional branch right after a BPF_DIV: the shape the
+    # modeled JIT bug (CVE-2021-29154) miscompiles
+    return (Asm()
+            .mov64_imm(R0, 8)
+            .alu64_imm("div", R0, 2)
+            .jmp_imm("jeq", R0, 4, "four")
+            .mov64_imm(R0, 0)
+            .label("four")
+            .exit_()
+            .program())
+
+
+class TestCodeMemo:
+    """Host bytecode is shared across subsystems; verification, the
+    per-kernel load cache and each load's frame function are not."""
+
+    def test_identical_bytes_compile_once_and_verify_twice(self):
+        code_for.cache_clear()
+        progs = []
+        for name in ("node-a", "node-b"):
+            bpf = BpfSubsystem(Kernel(), engine="compiled")
+            progs.append(bpf.load_program(_branchy_program(),
+                                          ProgType.KPROBE, name))
+            assert bpf.compile_cache_misses == 1
+            assert bpf.compile_cache_hits == 0
+        assert code_for.cache_info().misses == 1
+        assert code_for.cache_info().hits == 1
+        first, second = progs
+        for prog in progs:
+            assert not prog.verifier_stats.from_cache
+            assert prog.verifier_stats.insns_processed > 0
+        assert first.compiled is not second.compiled
+        assert first.compiled.func is not second.compiled.func
+        assert first.compiled.func.__code__ is \
+            second.compiled.func.__code__
+
+    def test_buggy_jit_rewrite_gets_its_own_code(self):
+        code_for.cache_clear()
+        buggy = BpfSubsystem(Kernel(), engine="compiled")
+        patched = BpfSubsystem(Kernel(), engine="compiled",
+                               bugs=BugConfig.all_patched())
+        bad = buggy.load_program(_div_then_branch_program(),
+                                 ProgType.KPROBE, "bad")
+        good = patched.load_program(_div_then_branch_program(),
+                                    ProgType.KPROBE, "good")
+        assert bad.jit.miscompiled and not good.jit.miscompiled
+        assert code_for.cache_info().misses == 2
+        assert bad.compiled.func.__code__ is not \
+            good.compiled.func.__code__
+        assert bad.compiled.source != good.compiled.source
+
+    def test_memo_stays_at_its_bound(self):
+        code_for.cache_clear()
+        for value in range(CODE_MEMO_ENTRIES + 8):
+            compile_program(predecode(
+                Asm().mov64_imm(R0, value).exit_().program()))
+        info = code_for.cache_info()
+        assert info.maxsize == CODE_MEMO_ENTRIES
+        assert info.currsize == CODE_MEMO_ENTRIES
+        assert info.misses == CODE_MEMO_ENTRIES + 8

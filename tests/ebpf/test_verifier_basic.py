@@ -171,6 +171,20 @@ class TestTermination:
                    .program())
         expect_reject(load, program, "infinite loop")
 
+    def test_converging_branches_are_not_a_loop(self, load):
+        # both sides of an unrefined fork reach "join" in the same
+        # state.  The parent walk checkpointed "join" after the fork,
+        # so the taken walk meeting that state is path convergence,
+        # not a cycle: only checkpoints before the fork are on its path
+        program = (Asm()
+                   .mov64_imm(R0, 0)
+                   .jmp_imm("jeq", R1, 0, "join")
+                   .label("join")
+                   .exit_()
+                   .program())
+        prog = load(program)
+        assert prog.verifier_stats.states_explored == 3
+
     def test_bounded_loop_accepted(self, load):
         program = (Asm()
                    .mov64_imm(R0, 10)
