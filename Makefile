@@ -87,8 +87,11 @@ bench-all:
 	PYTHONPATH=src python -m pytest benchmarks -q
 
 # Correctness smoke of the product-path benchmark: each workload runs
-# briefly at the pinned seed.  perfbench/run.py exits non-zero when a
-# correctness check fails or a pinned signature moves, which fails
+# briefly at the pinned seed, then xdp_filter once more traced (every
+# checked access through the resolve cache under the per-layer
+# tracer).  perfbench/run.py exits non-zero when a correctness check
+# fails, a pinned signature moves, a traced pass's signature differs
+# from the untraced one or its per-pass counts disagree, which fails
 # the target; the timings themselves are not checked.
 PERFBENCH_WORKLOADS = xdp_filter xdp_firewall prog_load fleet_rollout
 
@@ -98,3 +101,6 @@ perfbench-smoke:
 		python3 perfbench/run.py --workload $$workload --seed 1 \
 			--seconds 2 --trace 0 || exit 1; \
 	done
+	@echo "perfbench-smoke: xdp_filter --trace 1"
+	@python3 perfbench/run.py --workload xdp_filter --seed 1 \
+		--seconds 2 --trace 1

@@ -9,6 +9,8 @@ from repro.errors import (
     UseAfterFree,
 )
 from repro.kernel.memory import (
+    BPF_STACK_SIZE,
+    BPF_STACK_TYPE,
     KERNEL_BASE,
     KernelAddressSpace,
     NULL_PAGE_SIZE,
@@ -193,3 +195,97 @@ class TestFindAllocation:
         mem.kfree(alloc)
         found = mem.find_allocation(alloc.base)
         assert found is alloc and found.freed
+
+
+def _frame(mem, owner="bpf:prog"):
+    return mem.kmalloc(BPF_STACK_SIZE, type_name=BPF_STACK_TYPE,
+                       owner=owner)
+
+
+class TestResolveCache:
+    """The hot/warm cache in front of the index must never change an
+    answer: each pin first makes the allocation hot, then probes it."""
+
+    def test_kfree_of_hot_allocation_faults_as_uaf(self, mem):
+        alloc = mem.kmalloc(32)
+        mem.read(alloc.base, 8)
+        mem.kfree(alloc)
+        with pytest.raises(UseAfterFree) as fault:
+            mem.read(alloc.base + 8, 8)
+        assert str(fault.value) == \
+            f"use-after-free of void at {alloc.base + 8:#x}"
+
+    def test_access_crossing_hot_end_faults_as_oob(self, mem):
+        alloc = mem.kmalloc(16, type_name="sk_buff")
+        mem.read(alloc.base, 8)
+        with pytest.raises(OutOfBoundsAccess) as fault:
+            mem.read(alloc.base + 12, 8)
+        assert str(fault.value) == (
+            f"out-of-bounds access of sk_buff: "
+            f"[{alloc.base + 12:#x}, +8) beyond {alloc.end:#x}")
+
+    def test_red_zone_past_hot_allocation_is_wild(self, mem):
+        alloc = mem.kmalloc(16)
+        mem.kmalloc(16)
+        mem.read(alloc.base, 8)
+        with pytest.raises(MemoryFault) as fault:
+            mem.read(alloc.end, 1)
+        assert type(fault.value) is MemoryFault
+        assert str(fault.value) == \
+            f"wild kernel access at unmapped address {alloc.end:#x}"
+
+    def test_alternating_allocations_read_their_own_bytes(self, mem):
+        a, b, c = (mem.kmalloc(8) for __ in range(3))
+        for alloc, byte in ((a, b"a"), (b, b"b"), (c, b"c")):
+            mem.write(alloc.base, byte * 8)
+        for alloc, byte in ((a, b"a"), (b, b"b"), (c, b"c"), (a, b"a")):
+            assert mem.read(alloc.base, 8) == byte * 8
+
+
+class TestStackRuns:
+    """Stack frames are indexed as runs; lookups still answer with the
+    frame itself while it lives and as a freed frame after."""
+
+    def test_find_allocation_on_live_stack_returns_frame(self, mem):
+        frames = [_frame(mem) for __ in range(3)]
+        for frame in frames:
+            assert mem.find_allocation(frame.base + 100) is frame
+            assert mem.find_allocation(frame.end - 1) is frame
+
+    def test_live_allocations_lists_live_stacks_only(self, mem):
+        first, second, third = (_frame(mem) for __ in range(3))
+        mem.kfree(first)
+        mem.kfree(third)
+        assert mem.live_allocations(owner="bpf:prog") == [second]
+        assert mem.live_stack_count == 1
+
+    def test_retired_frame_found_as_freed_stack(self, mem):
+        frame = _frame(mem)
+        base, alloc_id = frame.base, frame.alloc_id
+        mem.kfree(frame)
+        del frame
+        found = mem.find_allocation(base + 7)
+        assert (found.alloc_id, found.base, found.size, found.type_name,
+                found.owner, found.freed) == \
+            (alloc_id, base, BPF_STACK_SIZE, BPF_STACK_TYPE, "bpf:prog",
+             True)
+        with pytest.raises(UseAfterFree):
+            mem.kfree(found)
+
+    def test_red_zone_between_frames_is_wild(self, mem):
+        first = _frame(mem)
+        _frame(mem)
+        assert mem.find_allocation(first.end) is None
+
+    def test_frames_run_shares_one_index_entry(self, mem):
+        mem.kmalloc(8)
+        before = mem.index_size
+        for __ in range(100):
+            mem.kfree(_frame(mem))
+        assert mem.index_size == before + 1
+
+    def test_freed_bytes_released_and_repr_omits_data(self, mem):
+        alloc = mem.kmalloc(64)
+        assert "data" not in repr(alloc)
+        mem.kfree(alloc)
+        assert len(alloc.data) == 0
