@@ -87,9 +87,10 @@ bench-all:
 	PYTHONPATH=src python -m pytest benchmarks -q
 
 # Correctness smoke of the product-path benchmark: each workload runs
-# briefly at the pinned seed, then xdp_filter once more traced (every
-# checked access through the resolve cache under the per-layer
-# tracer).  perfbench/run.py exits non-zero when a correctness check
+# briefly at the pinned seed, then xdp_filter (every checked access
+# through the resolve cache) and prog_load (every verifier coverage
+# check through the prune index) once more under the per-layer
+# tracer.  perfbench/run.py exits non-zero when a correctness check
 # fails, a pinned signature moves, a traced pass's signature differs
 # from the untraced one or its per-pass counts disagree, which fails
 # the target; the timings themselves are not checked.
@@ -101,6 +102,8 @@ perfbench-smoke:
 		python3 perfbench/run.py --workload $$workload --seed 1 \
 			--seconds 2 --trace 0 || exit 1; \
 	done
-	@echo "perfbench-smoke: xdp_filter --trace 1"
-	@python3 perfbench/run.py --workload xdp_filter --seed 1 \
-		--seconds 2 --trace 1
+	@for workload in xdp_filter prog_load; do \
+		echo "perfbench-smoke: $$workload --trace 1"; \
+		python3 perfbench/run.py --workload $$workload --seed 1 \
+			--seconds 2 --trace 1 || exit 1; \
+	done

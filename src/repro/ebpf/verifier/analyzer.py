@@ -10,6 +10,7 @@ whatever happens inside helper functions (§2.2).
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -39,6 +40,74 @@ from repro.ebpf.verifier.states import ExploredStates, VerifierState
 from repro.ebpf.verifier.tnum import Tnum
 from repro.errors import VerifierError, VerifierLimitExceeded
 from repro.ebpf.progs import CtxFieldKind, PROG_TYPE_INFO, ProgType
+
+
+_LD_IMM64 = isa.BPF_LD | isa.BPF_IMM | isa.BPF_DW
+_ALU_CLASSES = (isa.BPF_ALU, isa.BPF_ALU64)
+_MEM_CLASSES = (isa.BPF_LDX, isa.BPF_STX, isa.BPF_ST)
+_JMP_CLASSES = (isa.BPF_JMP, isa.BPF_JMP32)
+
+_SCALAR = RegType.SCALAR
+_PKT = RegType.PTR_TO_PACKET
+_PKT_END = RegType.PTR_TO_PACKET_END
+
+
+def _const_equal(dst: RegState, src: RegState) -> bool:
+    return dst.is_const and src.is_const \
+        and dst.const_value == src.const_value
+
+
+def _disjoint(dst: RegState, src: RegState) -> bool:
+    return dst.umin > src.umax or dst.umax < src.umin
+
+
+#: conditional jump -> (always taken?, never taken?) over the two
+#: scalar operands' ranges (``is_branch_taken``)
+_BRANCH_TAKEN = {
+    "jeq": (_const_equal, _disjoint),
+    "jne": (_disjoint, _const_equal),
+    "jgt": (lambda dst, src: dst.umin > src.umax,
+            lambda dst, src: dst.umax <= src.umin),
+    "jge": (lambda dst, src: dst.umin >= src.umax,
+            lambda dst, src: dst.umax < src.umin),
+    "jlt": (lambda dst, src: dst.umax < src.umin,
+            lambda dst, src: dst.umin >= src.umax),
+    "jle": (lambda dst, src: dst.umax <= src.umin,
+            lambda dst, src: dst.umin > src.umax),
+    "jsgt": (lambda dst, src: dst.smin > src.smax,
+             lambda dst, src: dst.smax <= src.smin),
+    "jsge": (lambda dst, src: dst.smin >= src.smax,
+             lambda dst, src: dst.smax < src.smin),
+    "jslt": (lambda dst, src: dst.smax < src.smin,
+             lambda dst, src: dst.smin >= src.smax),
+    "jsle": (lambda dst, src: dst.smax <= src.smin,
+             lambda dst, src: dst.smin > src.smax),
+}
+
+#: conditional jump -> (comparison on two known values, signed?)
+_CONCRETE_JUMPS = {
+    "jeq": (operator.eq, False), "jne": (operator.ne, False),
+    "jgt": (operator.gt, False), "jge": (operator.ge, False),
+    "jlt": (operator.lt, False), "jle": (operator.le, False),
+    "jset": (lambda dst, src: bool(dst & src), False),
+    "jsgt": (operator.gt, True), "jsge": (operator.ge, True),
+    "jslt": (operator.lt, True), "jsle": (operator.le, True),
+}
+
+#: (conditional jump, branch taken?) -> the relation between dst and
+#: src that holds on that side of the branch
+_EFFECTIVE_RELATION = {
+    ("jeq", True): "eq", ("jeq", False): "ne",
+    ("jne", True): "ne", ("jne", False): "eq",
+    ("jgt", True): "gt", ("jgt", False): "le",
+    ("jge", True): "ge", ("jge", False): "lt",
+    ("jlt", True): "lt", ("jlt", False): "ge",
+    ("jle", True): "le", ("jle", False): "gt",
+    ("jsgt", True): "sgt", ("jsgt", False): "sle",
+    ("jsge", True): "sge", ("jsge", False): "slt",
+    ("jslt", True): "slt", ("jslt", False): "sge",
+    ("jsle", True): "sle", ("jsle", False): "sgt",
+}
 
 
 class VerifierInternalFault(Exception):
@@ -291,11 +360,18 @@ class Verifier:
         checkpoint_here = True  # walk start counts as a checkpoint
         visit_counts: Dict[int, int] = {}
         limits = self.config.limits
+        complexity_limit = limits.complexity_limit
+        tracing = self.config.log_level >= 2
+        stats = self.stats
+        insns = self.insns
+        count_insns = len(insns)
+        ld64_second_slots = self._ld64_second_slots
+        jump_targets = self._jump_targets
 
         while True:
-            if not 0 <= insn_idx < len(self.insns):
+            if not 0 <= insn_idx < count_insns:
                 self._reject(f"fell off the program at insn {insn_idx}")
-            if insn_idx in self._ld64_second_slots:
+            if insn_idx in ld64_second_slots:
                 self._reject(
                     f"execution reached the second half of an ld_imm64 "
                     f"at {insn_idx}")
@@ -303,7 +379,7 @@ class Verifier:
             # a bounded loop revisits the same target thousands of
             # times, sample 1-in-8 (the kernel's miss-count heuristic)
             # so state copies don't dominate the walk
-            at_target = insn_idx in self._jump_targets
+            at_target = insn_idx in jump_targets
             if at_target:
                 count = visit_counts.get(insn_idx, 0)
                 visit_counts[insn_idx] = count + 1
@@ -339,36 +415,37 @@ class Verifier:
                 # ownership of it when the walk commits
                 record.trace.append((insn_idx, state.copy()))
 
-            if self.config.log_level >= 2:
+            if tracing:
                 self._trace_insn(insn_idx, state)
 
-            self.stats.insns_processed += 1
-            if self.stats.insns_processed > limits.complexity_limit:
+            stats.insns_processed += 1
+            if stats.insns_processed > complexity_limit:
                 self._reject_limit(
                     "BPF program is too large: processed "
-                    f"{self.stats.insns_processed} insns "
-                    f"(limit {limits.complexity_limit})")
+                    f"{stats.insns_processed} insns "
+                    f"(limit {complexity_limit})")
 
-            insn = self.insns[insn_idx]
-            cls = insn.insn_class
+            insn = insns[insn_idx]
+            opcode = insn.opcode
+            cls = opcode & isa.CLASS_MASK
 
-            if insn.is_ld_imm64:
+            if opcode == _LD_IMM64:
                 self._do_ld_imm64(state, insn, insn_idx)
                 insn_idx += 2
                 continue
 
-            if cls in (isa.BPF_ALU, isa.BPF_ALU64):
+            if cls in _ALU_CLASSES:
                 self._do_alu(state, insn, insn_idx)
                 insn_idx += 1
                 continue
 
-            if cls in (isa.BPF_LDX, isa.BPF_STX, isa.BPF_ST):
+            if cls in _MEM_CLASSES:
                 self._do_mem(state, insn, insn_idx)
                 insn_idx += 1
                 continue
 
-            if cls in (isa.BPF_JMP, isa.BPF_JMP32):
-                op = insn.opcode & isa.JMP_OP_MASK
+            if cls in _JMP_CLASSES:
+                op = opcode & isa.JMP_OP_MASK
                 if cls == isa.BPF_JMP32 and op in (
                         isa.BPF_JA, isa.BPF_CALL, isa.BPF_EXIT):
                     self._reject(f"insn {insn_idx}: invalid jmp32 "
@@ -489,15 +566,10 @@ class Verifier:
                 self._truncate32(dst)
             return
 
-        # source operand as a RegState
-        if insn.opcode & isa.BPF_X:
-            src = self._check_reg_read(state, insn.src, insn_idx).copy()
-        else:
-            src = RegState.const_scalar(insn.imm)
-
         if op == isa.BPF_MOV:
             if insn.opcode & isa.BPF_X:
-                new = src  # already a copy
+                new = self._check_reg_read(state, insn.src,
+                                           insn_idx).copy()
                 if not is64:
                     if new.is_pointer:
                         new = RegState.unknown_scalar()
@@ -509,6 +581,11 @@ class Verifier:
             state.cur.regs[insn.dst] = new
             return
 
+        # source operand as a RegState
+        if insn.opcode & isa.BPF_X:
+            src = self._check_reg_read(state, insn.src, insn_idx).copy()
+        else:
+            src = RegState.const_scalar(insn.imm)
         dst = self._check_reg_read(state, insn.dst, insn_idx)
 
         # pointer arithmetic?
@@ -540,7 +617,7 @@ class Verifier:
             self._truncate32(dst)
 
     def _truncate32(self, reg: RegState) -> None:
-        """ALU32 результат: zero-extend the low 32 bits."""
+        """ALU32 result: zero-extend the low 32 bits."""
         if reg.type != RegType.SCALAR:
             reg.mark_unknown()
         reg.var_off = reg.var_off.cast(4)
@@ -989,12 +1066,11 @@ class Verifier:
                             op: int, dst: RegState, src: RegState):
         """``find_good_pkt_pointers``: learn packet range from
         pkt vs pkt_end comparisons."""
-        combos = {
-            (RegType.PTR_TO_PACKET, RegType.PTR_TO_PACKET_END): "direct",
-            (RegType.PTR_TO_PACKET_END, RegType.PTR_TO_PACKET): "flipped",
-        }
-        orient = combos.get((dst.type, src.type))
-        if orient is None:
+        if dst.type is _PKT and src.type is _PKT_END:
+            orient = "direct"
+        elif dst.type is _PKT_END and src.type is _PKT:
+            orient = "flipped"
+        else:
             return None
         pkt = dst if orient == "direct" else src
         if not pkt.var_off.is_const:
@@ -1023,57 +1099,27 @@ class Verifier:
     def _concrete_jump(self, op_name: str, dst_val: int, src_val: int,
                        width: int = 64) -> bool:
         """Evaluate a comparison on two known values."""
+        compare, signed = _CONCRETE_JUMPS[op_name]
         mask = (1 << width) - 1
-        dst_u, src_u = dst_val & mask, src_val & mask
-        sign = 1 << (width - 1)
-        dst_s = dst_u - (1 << width) if dst_u & sign else dst_u
-        src_s = src_u - (1 << width) if src_u & sign else src_u
-        table = {
-            "jeq": dst_u == src_u, "jne": dst_u != src_u,
-            "jgt": dst_u > src_u, "jge": dst_u >= src_u,
-            "jlt": dst_u < src_u, "jle": dst_u <= src_u,
-            "jset": bool(dst_u & src_u),
-            "jsgt": dst_s > src_s, "jsge": dst_s >= src_s,
-            "jslt": dst_s < src_s, "jsle": dst_s <= src_s,
-        }
-        return table[op_name]
+        dst, src = dst_val & mask, src_val & mask
+        if signed:
+            sign = 1 << (width - 1)
+            dst = dst - (1 << width) if dst & sign else dst
+            src = src - (1 << width) if src & sign else src
+        return compare(dst, src)
 
     def _is_branch_taken(self, op_name: str, dst: RegState,
                          src: RegState) -> Optional[bool]:
         """Decide the branch statically when both ranges force it."""
-        if not (dst.type == RegType.SCALAR and src.type == RegType.SCALAR):
+        if not (dst.type is _SCALAR and src.type is _SCALAR):
             return None
-        checks = {
-            "jeq": (lambda: dst.is_const and src.is_const
-                    and dst.const_value == src.const_value,
-                    lambda: dst.umin > src.umax or dst.umax < src.umin),
-            "jne": (lambda: dst.umin > src.umax or dst.umax < src.umin,
-                    lambda: dst.is_const and src.is_const
-                    and dst.const_value == src.const_value),
-            "jgt": (lambda: dst.umin > src.umax,
-                    lambda: dst.umax <= src.umin),
-            "jge": (lambda: dst.umin >= src.umax,
-                    lambda: dst.umax < src.umin),
-            "jlt": (lambda: dst.umax < src.umin,
-                    lambda: dst.umin >= src.umax),
-            "jle": (lambda: dst.umax <= src.umin,
-                    lambda: dst.umin > src.umax),
-            "jsgt": (lambda: dst.smin > src.smax,
-                     lambda: dst.smax <= src.smin),
-            "jsge": (lambda: dst.smin >= src.smax,
-                     lambda: dst.smax < src.smin),
-            "jslt": (lambda: dst.smax < src.smin,
-                     lambda: dst.smin >= src.smax),
-            "jsle": (lambda: dst.smax <= src.smin,
-                     lambda: dst.smin > src.smax),
-        }
-        pair = checks.get(op_name)
+        pair = _BRANCH_TAKEN.get(op_name)
         if pair is None:
             return None
         always, never = pair
-        if always():
+        if always(dst, src):
             return True
-        if never():
+        if never(dst, src):
             return False
         return None
 
@@ -1097,18 +1143,7 @@ class Verifier:
             return
 
         # normalize to an effective relation that holds on this side
-        effective = {
-            ("jeq", True): "eq", ("jeq", False): "ne",
-            ("jne", True): "ne", ("jne", False): "eq",
-            ("jgt", True): "gt", ("jgt", False): "le",
-            ("jge", True): "ge", ("jge", False): "lt",
-            ("jlt", True): "lt", ("jlt", False): "ge",
-            ("jle", True): "le", ("jle", False): "gt",
-            ("jsgt", True): "sgt", ("jsgt", False): "sle",
-            ("jsge", True): "sge", ("jsge", False): "slt",
-            ("jslt", True): "slt", ("jslt", False): "sge",
-            ("jsle", True): "sle", ("jsle", False): "sgt",
-        }.get((op_name, taken))
+        effective = _EFFECTIVE_RELATION.get((op_name, taken))
         if effective is None:
             return
 

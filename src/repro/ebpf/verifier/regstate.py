@@ -12,10 +12,10 @@ pointer lattice, a fixed offset, a tnum for the variable part, and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.ebpf.verifier.tnum import Tnum, U64
+from repro.ebpf.verifier.tnum import TNUM_UNKNOWN, Tnum, U64
 
 S64_MIN = -(1 << 63)
 S64_MAX = (1 << 63) - 1
@@ -76,8 +76,9 @@ class RegState:
     type: RegType = RegType.NOT_INIT
     #: fixed (compile-time known) offset from the pointer base
     off: int = 0
-    #: variable part of the value / offset
-    var_off: Tnum = field(default_factory=Tnum.unknown)
+    #: variable part of the value / offset (tnums are immutable, so
+    #: every unknown register can share one)
+    var_off: Tnum = TNUM_UNKNOWN
     smin: int = S64_MIN
     smax: int = S64_MAX
     umin: int = 0
@@ -108,9 +109,9 @@ class RegState:
     @classmethod
     def const_scalar(cls, value: int) -> "RegState":
         """A fully known scalar."""
-        reg = cls(type=RegType.SCALAR)
-        reg.set_const(value)
-        return reg
+        uval = value & U64
+        sval = u64_to_s64(uval)
+        return cls(RegType.SCALAR, 0, Tnum(uval, 0), sval, sval, uval, uval)
 
     @classmethod
     def pointer(cls, reg_type: RegType, off: int = 0, **kwargs) -> "RegState":
@@ -132,7 +133,7 @@ class RegState:
         """Forget everything; the register is an unknown scalar."""
         self.type = RegType.SCALAR
         self.off = 0
-        self.var_off = Tnum.unknown()
+        self.var_off = TNUM_UNKNOWN
         self.smin, self.smax = S64_MIN, S64_MAX
         self.umin, self.umax = 0, U64_MAX
         self.id = 0
@@ -244,8 +245,11 @@ class RegState:
                 and self.frameno == other.frameno)
 
     def state_key(self) -> tuple:
-        """Hashable exact-state key (infinite-loop detection)."""
-        return (self.type, self.off, self.var_off.value, self.var_off.mask,
+        """Hashable exact-state key (infinite-loop detection).  It
+        carries the type's unique name, not the enum member: an
+        ``Enum`` hashes in Python code, a ``str`` in C."""
+        return (self.type._name_, self.off,
+                self.var_off.value, self.var_off.mask,
                 self.smin, self.smax, self.umin, self.umax,
                 self.id, self.ref_obj_id, id(self.map), self.mem_size,
                 self.frameno)
@@ -284,8 +288,9 @@ class StackSlot:
                          self.reg.copy() if self.reg else None)
 
     def state_key(self) -> tuple:
-        """Hashable exact-state key."""
-        return (self.kind,
+        """Hashable exact-state key (the kind by name, as in
+        :meth:`RegState.state_key`)."""
+        return (self.kind._name_,
                 self.reg.state_key() if self.reg else None)
 
 
@@ -322,7 +327,7 @@ class FuncFrame:
 
     def state_key(self) -> tuple:
         """Hashable exact-state key over regs and stack."""
-        return (tuple(r.state_key() for r in self.regs),
+        return (tuple([r.state_key() for r in self.regs]),
                 tuple(sorted((k, v.state_key())
                              for k, v in self.stack.items())),
                 self.callsite, self.in_callback)

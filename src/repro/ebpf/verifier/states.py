@@ -8,6 +8,12 @@ packet range.  :class:`ExploredStates` implements the kernel's
 covered by a previously explored, safe state need not be walked again
 — without this, verification time explodes with branch count (one of
 the ablations in the verification-cost benchmark).
+
+A coverage check does not scan the whole bucket.  Each stored state is
+also filed by which innermost-frame registers hold constant scalars
+and by those constants; a stored constant covers only the very same
+constant, so only states whose constants the incoming state matches
+are tried.
 """
 
 from __future__ import annotations
@@ -15,7 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.ebpf.verifier.regstate import FuncFrame, RegType, SlotKind
+from repro.ebpf.verifier.regstate import (
+    FuncFrame, RegState, RegType, SlotKind)
+
+_SCALAR = RegType.SCALAR
 
 
 @dataclass
@@ -125,14 +134,38 @@ class VerifierState:
         return True
 
 
+def _constants(regs: List[RegState]) -> List[Optional[int]]:
+    """Each register's value if it is a constant scalar, else None
+    (which no stored value equals)."""
+    return [reg.var_off.value
+            if reg.type is _SCALAR and not reg.var_off.mask else None
+            for reg in regs]
+
+
 class ExploredStates:
-    """Explored-state lists per instruction, with pruning stats."""
+    """Explored-state lists per instruction, with pruning stats.
+
+    ``_by_insn`` holds each instruction's states in the order they were
+    stored.  ``_index`` files the same states by *pattern* — the
+    innermost-frame registers that are constant scalars — and, within
+    a pattern, by those registers' values.  The index is exact: a
+    stored constant ``c`` covers a register only if that register is
+    the constant ``c`` too (``RegState.subsumes`` needs
+    ``var_off.contains``, and a mask of 0 contains only itself), so a
+    state filed under values the incoming state does not have can
+    never cover it.  :meth:`is_covered` probes each pattern once and
+    runs the unchanged :meth:`VerifierState.subsumes` on the matching
+    states only."""
 
     def __init__(self, enabled: bool = True,
                  max_states_per_insn: int = 64) -> None:
         self.enabled = enabled
         self.max_states_per_insn = max_states_per_insn
         self._by_insn: Dict[int, List[VerifierState]] = {}
+        #: insn -> constant-register pattern -> their values -> states
+        self._index: Dict[int, Dict[Tuple[int, ...],
+                                    Dict[Tuple[int, ...],
+                                         List[VerifierState]]]] = {}
         self.prune_hits = 0
         self.states_stored = 0
 
@@ -140,10 +173,19 @@ class ExploredStates:
         """True if an already-explored state covers ``state``."""
         if not self.enabled:
             return False
-        for seen in self._by_insn.get(insn_idx, ()):
-            if seen.subsumes(state):
-                self.prune_hits += 1
-                return True
+        patterns = self._index.get(insn_idx)
+        if not patterns:
+            return False
+        consts = _constants(state.frames[-1].regs)
+        for pattern, by_values in patterns.items():
+            candidates = by_values.get(
+                tuple([consts[regno] for regno in pattern]))
+            if candidates is None:
+                continue
+            for seen in candidates:
+                if seen.subsumes(state):
+                    self.prune_hits += 1
+                    return True
         return False
 
     def remember(self, insn_idx: int, state: VerifierState) -> None:
@@ -158,6 +200,12 @@ class ExploredStates:
         if len(bucket) < self.max_states_per_insn:
             bucket.append(state)
             self.states_stored += 1
+            consts = _constants(state.frames[-1].regs)
+            pattern = tuple(regno for regno, value in enumerate(consts)
+                            if value is not None)
+            values = tuple([consts[regno] for regno in pattern])
+            self._index.setdefault(insn_idx, {}).setdefault(
+                pattern, {}).setdefault(values, []).append(state)
 
     def largest_bucket(self) -> int:
         """States stored at the busiest instruction; it equals
