@@ -88,9 +88,10 @@ bench-all:
 
 # Correctness smoke of the product-path benchmark: each workload runs
 # briefly at the pinned seed, then xdp_filter (every checked access
-# through the resolve cache) and prog_load (every verifier coverage
-# check through the prune index) once more under the per-layer
-# tracer.  perfbench/run.py exits non-zero when a correctness check
+# through the resolve cache), xdp_firewall (the stats-on helper+map
+# path through the bound run instruments) and prog_load (every
+# verifier coverage check through the prune index) once more under
+# the per-layer tracer.  perfbench/run.py exits non-zero when a correctness check
 # fails, a pinned signature moves, a traced pass's signature differs
 # from the untraced one or its per-pass counts disagree, which fails
 # the target; the timings themselves are not checked.
@@ -102,7 +103,7 @@ perfbench-smoke:
 		python3 perfbench/run.py --workload $$workload --seed 1 \
 			--seconds 2 --trace 0 || exit 1; \
 	done
-	@for workload in xdp_filter prog_load; do \
+	@for workload in xdp_filter xdp_firewall prog_load; do \
 		echo "perfbench-smoke: $$workload --trace 1"; \
 		python3 perfbench/run.py --workload $$workload --seed 1 \
 			--seconds 2 --trace 1 || exit 1; \

@@ -22,7 +22,7 @@ unconditionally.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -48,6 +48,12 @@ class Telemetry:
         self.progs = ProgStatsTable()
         self.trace = TraceRing(capacity=trace_capacity)
         self._clock = clock
+        #: run-side instruments bound on first use (see "Bound run
+        #: instruments" in DESIGN.md): rows and metric children are
+        #: never removed or replaced, so a bound one is exactly what
+        #: ``prog()`` / ``labels()`` would return again
+        self._run_bound: Dict[Tuple[str, str], tuple] = {}
+        self._helper_bound: Dict[Tuple[str, str, str], tuple] = {}
 
         reg = self.registry
         # run-side families (recorded only while stats_enabled)
@@ -185,12 +191,20 @@ class Telemetry:
                    helper_calls: int) -> None:
         """Fold one invocation into the program's run stats and the
         registry, and trace it."""
-        self.prog(framework, name).record_run(run_time_ns, insns,
-                                              helper_calls)
-        self._runs.labels(framework, name).inc()
-        self._run_time.labels(framework, name).inc(run_time_ns)
-        self._insns.labels(framework, name).inc(insns)
-        self._run_time_hist.labels(framework).observe(run_time_ns)
+        bound = self._run_bound.get((framework, name))
+        if bound is None:
+            bound = self._run_bound[(framework, name)] = (
+                self.progs.get(framework, name),
+                self._runs.labels(framework, name),
+                self._run_time.labels(framework, name),
+                self._insns.labels(framework, name),
+                self._run_time_hist.labels(framework))
+        row, runs, run_time, insns_total, hist = bound
+        row.record_run(run_time_ns, insns, helper_calls)
+        runs.inc()
+        run_time.inc(run_time_ns)
+        insns_total.inc(insns)
+        hist.observe(run_time_ns)
         self.trace.emit(TraceEvent(
             self._now(), "run", framework, name,
             {"run_time_ns": run_time_ns, "insns": insns,
@@ -199,8 +213,14 @@ class Telemetry:
     def record_helper(self, framework: str, name: str,
                       symbol: str) -> None:
         """Count one helper/kcrate call and trace it."""
-        self.prog(framework, name).record_helper(symbol)
-        self._helper_calls.labels(framework, symbol).inc()
+        bound = self._helper_bound.get((framework, name, symbol))
+        if bound is None:
+            bound = self._helper_bound[(framework, name, symbol)] = (
+                self.progs.get(framework, name),
+                self._helper_calls.labels(framework, symbol))
+        row, calls = bound
+        row.record_helper(symbol)
+        calls.inc()
         self.trace.emit(TraceEvent(
             self._now(), "helper", framework, name,
             {"symbol": symbol}))

@@ -151,7 +151,7 @@ class MetricFamily:
             raise ValueError(
                 f"{self.name}: got {len(values)} label values for "
                 f"schema {self.label_names!r}")
-        key = tuple(str(v) for v in values)
+        key = tuple(map(str, values))
         child = self._children.get(key)
         if child is None:
             if self.kind == "counter":

@@ -24,7 +24,7 @@ EVENT_KINDS = ("load", "run", "helper", "watchdog_kill", "oops",
                "map_op", "ringbuf_drop", "panic")
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     """One structured telemetry event."""
 
@@ -72,11 +72,13 @@ class TraceRing:
         """Append an event, overwriting (and counting) the oldest
         when full, then fan out to every sink."""
         self.emitted += 1
-        if len(self._ring) == self.capacity:
+        ring = self._ring
+        if len(ring) == self.capacity:
             self.dropped += 1
-        self._ring.append(event)
-        for sink in self._sinks.values():
-            sink(event)
+        ring.append(event)
+        if self._sinks:
+            for sink in self._sinks.values():
+                sink(event)
 
     def add_sink(self, name: str,
                  sink: Callable[[TraceEvent], None]) -> None:
@@ -90,11 +92,14 @@ class TraceRing:
     def events(self, kind: Optional[str] = None,
                limit: Optional[int] = None) -> List[TraceEvent]:
         """Events currently held, oldest first, optionally filtered
-        by ``kind`` and truncated to the last ``limit``."""
+        by ``kind`` and truncated to the last ``limit`` (0 keeps
+        none; a negative limit is an error)."""
+        if limit is not None and limit < 0:
+            raise ValueError(f"trace limit must be >= 0, got {limit}")
         out = [e for e in self._ring
                if kind is None or e.kind == kind]
         if limit is not None:
-            out = out[-limit:]
+            out = out[-limit:] if limit else []
         return out
 
     def clear(self) -> None:

@@ -300,8 +300,12 @@ def cmd_trace_log(args) -> int:
     bpf = _load_and_run_with_stats(args)
     if bpf is None:
         return 1
-    events = bpf.kernel.telemetry.trace.events(
-        kind=args.kind or None, limit=args.limit)
+    try:
+        events = bpf.kernel.telemetry.trace.events(
+            kind=args.kind or None, limit=args.limit)
+    except ValueError as error:
+        print(f"bad --limit: {error}", file=sys.stderr)
+        return 1
     for event in events:
         print(event.to_json())
     ring = bpf.kernel.telemetry.trace

@@ -204,6 +204,20 @@ class TestStatsCommands:
         events = parse_jsonl(capsys.readouterr().out)
         assert [e.kind for e in events] == ["run", "run"]
 
+    def test_trace_log_limit_zero_prints_nothing(self, prog_file,
+                                                 capsys):
+        assert main(["trace", "log", prog_file, "--repeat", "3",
+                     "--limit", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("# 0 events shown")
+
+    def test_trace_log_negative_limit_rejected(self, prog_file,
+                                               capsys):
+        assert main(["trace", "log", prog_file,
+                     "--limit", "-1"]) == 1
+        assert "bad --limit" in capsys.readouterr().err
+
 
 @pytest.fixture
 def xdp_filter_file(tmp_path):

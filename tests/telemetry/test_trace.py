@@ -53,6 +53,26 @@ class TestFiltering:
         assert [e.ts_ns
                 for e in ring.events(kind="run", limit=1)] == [5]
 
+    def test_limit_zero_returns_nothing(self):
+        ring = TraceRing(capacity=16)
+        for i in range(6):
+            ring.emit(ev(i))
+        assert ring.events(limit=0) == []
+        assert ring.events(kind="run", limit=0) == []
+
+    def test_limit_beyond_held_returns_all(self):
+        ring = TraceRing(capacity=16)
+        for i in range(3):
+            ring.emit(ev(i))
+        assert [e.ts_ns for e in ring.events(limit=10)] == [0, 1, 2]
+
+    def test_negative_limit_rejected(self):
+        ring = TraceRing(capacity=16)
+        for i in range(3):
+            ring.emit(ev(i))
+        with pytest.raises(ValueError):
+            ring.events(limit=-1)
+
 
 class TestSinks:
     def test_sink_sees_every_emission(self):
