@@ -64,9 +64,9 @@ fleet-chaos:
 	PYTHONPATH=src python -m repro.fleet.chaos --check-determinism
 
 # Interpreter/load-cache throughput plus telemetry overhead. Writes
-# BENCH_throughput.json (fast-path speedup ratio gated at 80% of
+# BENCH_throughput.json (compiled/interp speedup ratio gated at 80% of
 # benchmarks/throughput_baseline.json) and BENCH_obs_overhead.json
-# (stats-off dispatch ratio gated at 95% of
+# (stats-off compiled/interp dispatch ratio gated at 95% of
 # benchmarks/obs_overhead_baseline.json — the "telemetry is free when
 # off" contract).
 bench:
@@ -75,8 +75,8 @@ bench:
 
 # Data-plane packet rates: >= 1M seeded packets through the batched
 # XDP pipeline, two runs per tier.  Writes BENCH_dataplane.json and
-# gates on compiled-strictly-fastest, per-tier bit-identical
-# signatures, and pps ratios at 80% of
+# gates on compiled-faster-than-interp, per-tier bit-identical
+# signatures, and the compiled/interp pps ratio at 80% of
 # benchmarks/dataplane_baseline.json.  REPRO_BENCH_SMOKE=1 shrinks
 # the legs for CI.
 bench-net:

@@ -9,23 +9,22 @@ chunks (generation and enqueue are untimed — they are identical work
 on every tier) and only :meth:`DataPlane.process_all` is inside the
 timer, so the measured number is the pipeline's processing rate: the
 batch_runner critical section, the per-packet frame fill, the program,
-and verdict routing.  Every tier runs the **same** leg **twice**
-(2x175k packets per tier — 1.05M offered in a full run): equal
-counts matter because the simulated address space indexes every
-allocation it has ever seen (UAF detection), so per-packet cost
-rises with run length and a longer leg would be penalized; the
-repeat both checks seeded bit-identity per tier and lets the pps
-gates use the best of the two runs, which squeezes out scheduler
-noise that a single multi-second leg is exposed to.
+and verdict routing.  Both tiers run the **same** leg **twice**
+(2x262.5k packets per tier — 1.05M offered in a full run): equal
+counts give both tiers the same seeded traffic; the repeat both
+checks seeded bit-identity per tier and lets the pps gate use the
+best of the two runs, which squeezes out scheduler noise that a
+single multi-second leg is exposed to.
 
 Gates:
 
-* the compiled tier is strictly the fastest (best-of-two pps);
+* the compiled tier is strictly faster than the reference interpreter
+  (best-of-two pps);
 * for every tier, the two seeded runs produce bit-identical plane
   signatures (verdicts, clock, ring contents, latency histograms);
-* the fast/interp and compiled/interp pps ratios may not drop more
-  than 20% below ``benchmarks/dataplane_baseline.json`` — absolute
-  pps varies with the machine, the ratios do not.
+* the compiled/interp pps ratio may not drop more than 20% below
+  ``benchmarks/dataplane_baseline.json`` — absolute pps varies with
+  the machine, the ratio does not.
 
 ``REPRO_BENCH_SMOKE=1`` (CI) shrinks every leg to 2x4k packets and
 skips the >= 1M floor and the baseline-ratio gate — the structural
@@ -58,8 +57,8 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 CHUNK = 2048
 SEED = 1
 #: per-run leg size; every tier runs the same leg twice
-LEG = 175_000 if not SMOKE else 4_000
-COUNTS = {"interp": LEG, "fast": LEG, "compiled": LEG}
+LEG = 262_500 if not SMOKE else 4_000
+COUNTS = {"interp": LEG, "compiled": LEG}
 
 
 def measure_tier(engine, count):
@@ -133,8 +132,6 @@ def results():
                 runs[0]["signature"] == runs[1]["signature"],
         }
     res["total_offered"] = sum(res[e]["offered"] for e in COUNTS)
-    res["fast_over_interp"] = (res["fast"]["pps"]
-                               / res["interp"]["pps"])
     res["compiled_over_interp"] = (res["compiled"]["pps"]
                                    / res["interp"]["pps"])
     RESULTS_PATH.write_text(json.dumps(res, indent=2) + "\n")
@@ -150,40 +147,38 @@ class TestDataPlaneBench:
         assert results["total_offered"] >= 1_000_000
 
     def test_every_packet_reached_a_verdict(self, results):
-        for engine in ("interp", "fast", "compiled"):
+        for engine in COUNTS:
             for run in results[engine]["runs"]:
                 assert run["processed"] == run["offered"]
 
     def test_compiled_is_strictly_fastest(self, results):
         """The whole point of the compiled tier on the hot path."""
-        compiled = results["compiled"]["pps"]
-        assert compiled > results["fast"]["pps"]
-        assert compiled > results["interp"]["pps"]
+        assert results["compiled"]["pps"] > results["interp"]["pps"]
 
     def test_seeded_repeat_is_bit_identical(self, results):
         """Same seed, same count, same tier: the full plane signature
         (verdicts, clock, rings, histograms) must not move a bit."""
-        for engine in ("interp", "fast", "compiled"):
+        for engine in COUNTS:
             assert results[engine]["signatures_identical"], engine
 
     def test_latency_percentiles_reported_and_ordered(self, results):
-        for engine in ("interp", "fast", "compiled"):
+        for engine in COUNTS:
             latency = results[engine]["latency_ns"]
             assert 0 < latency["p50"] <= latency["p99"] \
                 <= latency["p999"]
 
     def test_no_regression_vs_baseline(self, results):
-        """Refuse >20% regression of either pps ratio against the
+        """Refuse >20% regression of the pps ratio against the
         committed baseline."""
         if SMOKE:
             pytest.skip("smoke mode: ratios too noisy at 8k packets")
         baseline = json.loads(BASELINE_PATH.read_text())
-        for key in ("fast_over_interp", "compiled_over_interp"):
-            floor = 0.8 * baseline[key]
-            assert results[key] >= floor, (
-                f"{key} {results[key]:.2f}x regressed below "
-                f"{floor:.2f}x (80% of baseline "
-                f"{baseline[key]:.2f}x)")
+        key = "compiled_over_interp"
+        floor = 0.8 * baseline[key]
+        assert results[key] >= floor, (
+            f"{key} {results[key]:.2f}x regressed below "
+            f"{floor:.2f}x (80% of baseline "
+            f"{baseline[key]:.2f}x)")
 
     def test_results_file_written(self, results):
         written = json.loads(RESULTS_PATH.read_text())

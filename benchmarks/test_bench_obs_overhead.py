@@ -4,7 +4,7 @@ Measures what the telemetry subsystem costs on the dispatch hot path,
 in both of its states:
 
 * **stats off** (the default, ``kernel.bpf_stats_enabled=0``): the
-  fast-path engine pays a single attribute test per invocation.  The
+  compiled tier pays a single attribute test per invocation.  The
   regression gate holds this path to within 5% of the committed
   baseline ratio — landing telemetry must not tax users who never
   turn it on.
@@ -13,7 +13,7 @@ in both of its states:
   enabled path must stay within a loose factor of the disabled one.
 
 As with the throughput bench, gates compare *ratios* measured on the
-same host in the same run (stats-off fast / stats-off slow), never
+same host in the same run (stats-off compiled / stats-off interp), never
 absolute insns/sec, so they are machine-independent.  Results land in
 ``BENCH_obs_overhead.json`` at the repo root.
 """
@@ -53,12 +53,12 @@ def alu_loop_prog():
             .program())
 
 
-def measure(fast, stats_enabled):
+def measure(engine, stats_enabled):
     """Insns/sec for one engine with telemetry on or off."""
     kernel = Kernel()
     if stats_enabled:
         kernel.telemetry.enable()
-    bpf = BpfSubsystem(kernel, fast_path=fast)
+    bpf = BpfSubsystem(kernel, engine=engine)
     prog = bpf.load_program(alu_loop_prog(), ProgType.KPROBE, "bench")
     bpf.run_on_current_task(prog)       # warm-up
     executed_before = bpf.vm.insns_executed
@@ -80,21 +80,23 @@ def measure(fast, stats_enabled):
 
 @pytest.fixture(scope="module")
 def results():
-    """Measure all four corners once, persist the JSON."""
-    fast_off = measure(fast=True, stats_enabled=False)
-    fast_on = measure(fast=True, stats_enabled=True)
-    slow_off = measure(fast=False, stats_enabled=False)
+    """Measure the three corners once, persist the JSON."""
+    compiled_off = measure("compiled", stats_enabled=False)
+    compiled_on = measure("compiled", stats_enabled=True)
+    interp_off = measure("interp", stats_enabled=False)
     res = {
-        "fast_stats_off": fast_off,
-        "fast_stats_on": fast_on,
-        "slow_stats_off": slow_off,
-        # the gated ratio: fast/slow with telemetry idle, comparable
-        # with the committed baseline across hosts
+        "compiled_stats_off": compiled_off,
+        "compiled_stats_on": compiled_on,
+        "interp_stats_off": interp_off,
+        # the gated ratio: compiled/interp with telemetry idle,
+        # comparable with the committed baseline across hosts
         "stats_off_dispatch_speedup":
-            fast_off["insns_per_sec"] / slow_off["insns_per_sec"],
-        # what enabling stats costs on the fast path, as a fraction
+            compiled_off["insns_per_sec"]
+            / interp_off["insns_per_sec"],
+        # what enabling stats costs on the compiled tier, as a fraction
         "stats_on_overhead":
-            1 - fast_on["insns_per_sec"] / fast_off["insns_per_sec"],
+            1 - compiled_on["insns_per_sec"]
+            / compiled_off["insns_per_sec"],
     }
     RESULTS_PATH.write_text(json.dumps(res, indent=2) + "\n")
     return res
@@ -104,13 +106,14 @@ class TestObservabilityOverhead:
     def test_stats_off_records_nothing(self, results):
         """Sanity: with the toggle off no run stats accumulate; with
         it on every benchmark run is visible."""
-        assert results["fast_stats_off"]["run_cnt_recorded"] == 0
-        assert results["fast_stats_on"]["run_cnt_recorded"] == \
-            results["fast_stats_on"]["runs"] + 1   # incl. warm-up
+        assert results["compiled_stats_off"]["run_cnt_recorded"] == 0
+        assert results["compiled_stats_on"]["run_cnt_recorded"] == \
+            results["compiled_stats_on"]["runs"] + 1   # incl. warm-up
 
     def test_stats_off_no_regression_vs_baseline(self, results):
-        """The <5% gate: telemetry idle must not erode the fast-path
-        dispatch advantage below 95% of the committed baseline."""
+        """The <5% gate: telemetry idle must not erode the compiled
+        tier's dispatch advantage below 95% of the committed
+        baseline."""
         baseline = json.loads(BASELINE_PATH.read_text())
         floor = 0.95 * baseline["stats_off_dispatch_speedup"]
         speedup = results["stats_off_dispatch_speedup"]

@@ -218,18 +218,16 @@ def fuzz_campaign(iterations: int = 300, seed: int = 1337,
     return report
 
 # ---------------------------------------------------------------------------
-# differential fuzzing: four engines, one semantics
+# differential fuzzing: two tiers, one semantics
 # ---------------------------------------------------------------------------
 
-#: the execution engines that must agree on every program: the
-#: decode-per-step reference interpreter, the predecoded fast path,
-#: the fast path running JIT-lowered instructions, and the compiled
-#: tier (exec-generated Python over the predecoded table)
+#: the engine configurations that must agree on every program: the
+#: decode-per-step reference interpreter, the compiled tier, and the
+#: compiled tier running the modeled JIT's lowered instructions
 DIFF_ENGINES = (
-    ("interp", {"use_jit": False, "fast_path": False}),
-    ("fast", {"use_jit": False, "fast_path": True}),
-    ("jit", {"use_jit": True, "fast_path": True}),
+    ("interp", {"use_jit": False, "engine": "interp"}),
     ("compiled", {"use_jit": False, "engine": "compiled"}),
+    ("jit", {"use_jit": True, "engine": "compiled"}),
 )
 
 

@@ -1,30 +1,33 @@
 """The compiled execution tier: bytecode -> generated Python.
 
-This is the reproduction's third engine, and the paper's argument in
-miniature: all the work happens once, in a trusted load-time
+This is the reproduction's product tier (the reference interpreter in
+:mod:`repro.ebpf.interpreter` is the other), and the paper's argument
+in miniature: all the work happens once, in a trusted load-time
 toolchain, so the hot path carries no interpretive overhead at all.
-Where the fast interpreter still fetches a slot tuple and walks a
-dispatch chain for every instruction, this tier turns the predecoded
-table into Python *source* — one straight-line run of statements per
+Where the reference interpreter decodes every instruction as it
+executes it, this tier turns the load-time predecoded table into
+Python *source* — one straight-line run of statements per
 basic block, registers bound as local variables — and ``exec``-compiles
 it once.  CPython then does the dispatch at compile time instead of
 run time.
 
-The lowering mirrors ``_run_frame_fast`` statement for statement:
+The lowering, in outline:
 
 * programs are split into basic blocks at jump targets, fallthrough
   edges of conditional jumps, subprogram entry points, and callback
   (``BPF_PSEUDO_FUNC``) targets; a small integer block id drives a
   ``while``-loop dispatcher, so any block leader is a valid frame
   entry point (subprograms and ``bpf_loop`` callbacks reuse the same
-  compiled function),
+  compiled function; an entry that is not a leader runs on the
+  reference executor),
 * registers live in locals ``r0``..``r10`` — no list indexing on the
   hot path,
 * the virtual clock and ``insns_executed`` are flushed in batches at
-  exactly the fast path's observation points (memory accesses, helper
+  every point where they can be observed (memory accesses, helper
   calls, subprogram calls, taken backward edges, frame exit, and the
   ``finally`` unwind), with straight-line instruction counts folded in
-  as compile-time constants,
+  as compile-time constants, so the totals equal the reference
+  path's one-per-instruction charges wherever they are read,
 * immediates — including the predecoded signed views a conditional
   jump needs — are baked into the source as literals.
 
@@ -35,16 +38,16 @@ watchdog budgets and the recovery supervisor behave identically under
 this tier.  Compilation is purely mechanical and proves nothing — an
 unverified program compiles fine and still oopses the kernel at run
 time; statically-bad slots (``K_BAD``, out-of-range targets) compile
-to the same :class:`~repro.errors.BpfRuntimeError` raises the other
-engines produce when execution actually reaches them.
+to the same :class:`~repro.errors.BpfRuntimeError` raises the
+reference interpreter produces when execution actually reaches them.
 
 Note the deliberate contrast with :mod:`repro.ebpf.jit`: that module
 *models* a JIT as a second trusted component that can betray the
 verifier (CVE-2021-29154's miscompiled branch); this module *is* a
 real compiler whose output is kept honest by the differential
 harness — every attack-corpus program, fuzz case and chaos schedule
-must agree with both interpreters on result, accounting and failure
-mode.
+must agree with the reference interpreter on result, accounting and
+failure mode.
 """
 
 from __future__ import annotations
@@ -173,7 +176,7 @@ def _alu64(slot: tuple, is_reg: bool) -> List[str]:
         shift = f"(r{slot[3]} & 63)" if is_reg else repr(slot[3] & 63)
         return [f"r{d} = ((r{d} - _F64 if r{d} & _H64 else r{d})"
                 f" >> {shift}) & U64"]
-    # A_NEG (the source operand is unused, like the fast path)
+    # A_NEG (the source operand is unused)
     return [f"r{d} = (-r{d}) & U64"]
 
 
@@ -228,8 +231,8 @@ def _cond_expr(slot: tuple, is_reg: bool, is32: bool,
     Register operands get their signed view derived inline (or via a
     temp emitted into ``pre`` for the 32-bit forms); immediate
     operands use the slot's precomputed unsigned/signed views as
-    literals — the same contract ``_cond_eval_imm`` implements in the
-    fast interpreter.
+    literals, so only the register operand ever needs its sign
+    re-derived.
     """
     cond, d = slot[1], slot[2]
     if is32:
@@ -277,8 +280,8 @@ class _FrameWriter:
 
     def flush(self, indent: int, k: int) -> None:
         """Emit a clock/insns flush folding ``k`` statically-counted
-        instructions into the dynamic ``pending`` — the exact sequence
-        (and failure behaviour) of the fast path's flush points."""
+        instructions into the dynamic ``pending`` — one flush point
+        (see the module docstring for where they sit)."""
         if k:
             self.emit(indent, f"pending += {k}")
         self.emit(indent,

@@ -6,12 +6,13 @@ loader.BpfSubsystem`, per-program pinning via
 :meth:`~repro.ebpf.loader.BpfSubsystem.set_engine`, and bpftool's
 ``--engine`` flag — each validating its own string against its own
 copy of the tier list.  This module is the one place that knows what
-an engine is: the :class:`Engine` enum enumerates the tiers (slowest
-to fastest) and :func:`resolve_engine` is the one validator every
-surface routes through.
+an engine is: the :class:`Engine` enum enumerates the two tiers (the
+reference interpreter, then the compiled product tier) and
+:func:`resolve_engine` is the one validator every surface routes
+through.
 
-The VM stores the canonical *string* value (``"interp"`` / ``"fast"``
-/ ``"compiled"``) because that is what the rest of the codebase — the
+The VM stores the canonical *string* value (``"interp"`` /
+``"compiled"``) because that is what the rest of the codebase — the
 differential suites, telemetry labels, the compile cache — compares
 and prints; :class:`Engine` is the source of truth those strings come
 from, and accepts either form on the way in.
@@ -24,16 +25,15 @@ from typing import Optional, Tuple, Union
 
 
 class Engine(enum.Enum):
-    """The three execution tiers, slowest to fastest.
+    """The two execution tiers, reference first.
 
     ``INTERP`` decodes each instruction as it executes (the
-    differential baseline), ``FAST`` drives the predecoded dispatch
-    table, ``COMPILED`` runs the exec-generated Python lowering.  All
-    three are observationally identical by contract.
+    differential oracle), ``COMPILED`` runs the exec-generated Python
+    lowering of the predecoded program.  Both are observationally
+    identical by contract.
     """
 
     INTERP = "interp"
-    FAST = "fast"
     COMPILED = "compiled"
 
     def __str__(self) -> str:
@@ -41,7 +41,7 @@ class Engine(enum.Enum):
         return self.value
 
 
-#: canonical tier names, slowest to fastest — the one list the CLI
+#: canonical tier names, reference first — the one list the CLI
 #: ``choices=`` and every error message derive from
 ENGINE_NAMES: Tuple[str, ...] = tuple(e.value for e in Engine)
 

@@ -16,29 +16,25 @@ paper's 800-second stall (and far longer) executable in milliseconds
 of host time while preserving the linear runtime-vs-iterations law the
 experiment measures.
 
-Three execution engines share the semantics:
+Two execution tiers share the semantics:
 
 * ``interp`` (``_run_frame_slow``) decodes each ``Insn`` as it
-  executes — the original reference path, kept as the
-  differential-testing baseline.
-* ``fast`` (``_run_frame_fast``) drives a :class:`~repro.ebpf.\
-predecode.PredecodedProgram` dispatch table built at load time, and
-  charges virtual time in *batches*: straight-line blocks accumulate a
-  pending instruction count that is flushed to ``kernel.work()`` only
-  at observation points — memory accesses, helper calls, subprogram
-  calls, taken backward edges, and frame exit — so the clock reads
-  identically to per-insn accounting everywhere it can be observed.
-* ``compiled`` (:mod:`repro.ebpf.compile`) lowers the dispatch table
-  to generated Python — one straight-line statement run per basic
-  block, registers as locals — ``exec``-compiled once per program and
-  cached content-addressed by the loader.  Helpers, memory, atomics
-  and tail calls still route through this VM, so fault injection and
+  executes and charges the virtual clock one instruction at a time —
+  the reference executor, kept as the differential-testing oracle.
+* ``compiled`` (:mod:`repro.ebpf.compile`) lowers the load-time
+  :class:`~repro.ebpf.predecode.PredecodedProgram` to generated
+  Python — one straight-line statement run per basic block, registers
+  as locals — ``exec``-compiled once per program and cached
+  content-addressed by the loader.  It charges virtual time in
+  batches flushed only where the clock can be observed, so totals
+  match the reference path exactly.  Helpers, memory, atomics and
+  tail calls still route through this VM, so fault injection and
   telemetry see the same world.
 
 ``engine`` on :class:`BpfVm` (or per program via
 ``LoadedProgram.engine``) selects a tier explicitly;
-``DEFAULT_ENGINE`` / ``DEFAULT_FAST_PATH`` pick for VMs that don't.
-All engines must stay observationally identical (see
+``DEFAULT_ENGINE`` picks for VMs that don't.  Both tiers must stay
+observationally identical (see
 ``tests/ebpf/test_fastpath_differential.py`` and
 ``tests/ebpf/test_malformed_differential.py``).
 """
@@ -54,95 +50,19 @@ from repro.ebpf.compile import CompiledProgram, compile_program
 from repro.ebpf.engine import ENGINE_NAMES, resolve_engine
 from repro.ebpf.helpers.base import HelperCallContext
 from repro.ebpf.isa import Insn, to_s64, to_u64
-from repro.ebpf.predecode import (
-    FUNC_PTR_BASE, K_ALU32_K, K_ALU32_X, K_ALU64_K, K_ALU64_X,
-    K_ATOMIC, K_BAD, K_CALL_HELPER, K_CALL_SUB, K_EXIT, K_JA,
-    K_JMP32_K, K_JMP32_X, K_JMP_K, K_JMP_X, K_LD_IMM64, K_LDX,
-    K_MOV32_K, K_MOV32_X, K_MOV64_K, K_MOV64_X, K_ST, K_STX,
-    MAP_PTR_BASE, A_ADD, A_AND, A_ARSH, A_DIV, A_LSH, A_MOD, A_MUL,
-    A_NEG, A_OR, A_RSH, A_SUB, A_XOR, J_EQ, J_GE, J_GT, J_LE, J_LT,
-    J_NE, J_SET, J_SGE, J_SGT, J_SLE, J_SLT, PredecodedProgram,
-    predecode,
-)
+from repro.ebpf.predecode import FUNC_PTR_BASE, MAP_PTR_BASE, predecode
 from repro.errors import BpfRuntimeError, KernelOops
 from repro.kernel.kernel import Kernel
 
 U64 = (1 << 64) - 1
 U32 = (1 << 32) - 1
 
-_H64 = 1 << 63
-_F64 = 1 << 64
-_H32 = 1 << 31
-_F32 = 1 << 32
+#: tier used by VMs that don't pick one explicitly
+DEFAULT_ENGINE = "compiled"
 
-#: engine used by VMs that don't pick one explicitly; the slow
-#: decode-per-step path stays available as the differential baseline
-DEFAULT_FAST_PATH = True
-
-#: the three execution tiers, slowest to fastest (re-exported from
+#: the execution tiers, reference first (re-exported from
 #: :mod:`repro.ebpf.engine`, the single source of truth)
 ENGINES = ENGINE_NAMES
-
-#: explicit module-default engine; ``None`` defers to
-#: ``DEFAULT_FAST_PATH`` (kept for compatibility with older tests
-#: and tooling that flip the boolean)
-DEFAULT_ENGINE: Optional[str] = None
-
-
-def _cond_eval(cond: int, d: int, s: int, half: int, full: int) -> bool:
-    """Evaluate one predecoded conditional-jump condition."""
-    if cond == J_EQ:
-        return d == s
-    if cond == J_NE:
-        return d != s
-    if cond == J_GT:
-        return d > s
-    if cond == J_GE:
-        return d >= s
-    if cond == J_LT:
-        return d < s
-    if cond == J_LE:
-        return d <= s
-    if cond == J_SET:
-        return bool(d & s)
-    sd = d - full if d & half else d
-    ss = s - full if s & half else s
-    if cond == J_SGT:
-        return sd > ss
-    if cond == J_SGE:
-        return sd >= ss
-    if cond == J_SLT:
-        return sd < ss
-    return sd <= ss
-
-
-def _cond_eval_imm(cond: int, d: int, s_u: int, s_s: int, half: int,
-                   full: int) -> bool:
-    """Immediate-form conditional: the slot carries both the unsigned
-    and the predecoded signed view of the immediate, so only the
-    register operand ever needs its sign re-derived."""
-    if cond == J_EQ:
-        return d == s_u
-    if cond == J_NE:
-        return d != s_u
-    if cond == J_GT:
-        return d > s_u
-    if cond == J_GE:
-        return d >= s_u
-    if cond == J_LT:
-        return d < s_u
-    if cond == J_LE:
-        return d <= s_u
-    if cond == J_SET:
-        return bool(d & s_u)
-    sd = d - full if d & half else d
-    if cond == J_SGT:
-        return sd > s_s
-    if cond == J_SGE:
-        return sd >= s_s
-    if cond == J_SLT:
-        return sd < s_s
-    return sd <= s_s
 
 
 class TailCallRequest(Exception):
@@ -159,25 +79,15 @@ class BpfVm:
     def __init__(self, kernel: Kernel, subsystem: "object",
                  bugs: Optional[BugConfig] = None,
                  loop_sample_limit: int = 256,
-                 fast_path: Optional[bool] = None,
                  engine: Optional[str] = None) -> None:
         self.kernel = kernel
         self.subsystem = subsystem
         self.bugs = bugs or BugConfig()
         #: concrete iterations executed before fast-forwarding a loop
         self.loop_sample_limit = loop_sample_limit
-        if engine is None:
-            if fast_path is not None:
-                engine = "fast" if fast_path else "interp"
-            elif DEFAULT_ENGINE is not None:
-                engine = DEFAULT_ENGINE
-            else:
-                engine = "fast" if DEFAULT_FAST_PATH else "interp"
         #: default execution tier; a loaded program may override it
         #: via its own ``engine`` attribute
-        self.engine = resolve_engine(engine)
-        #: legacy boolean view of the engine (anything predecoded)
-        self.fast_path = engine != "interp"
+        self.engine = resolve_engine(engine, DEFAULT_ENGINE)
         #: fresh compilations performed by this VM (lazy path; the
         #: loader's compile cache normally attaches one at load)
         self.compiles = 0
@@ -190,7 +100,6 @@ class BpfVm:
         self._prandom_state = 0x2545F491
         self._current_prog: Optional[object] = None
         self._insns: List[Insn] = []
-        self._decoded: Optional[PredecodedProgram] = None
         self._compiled: Optional[CompiledProgram] = None
         #: redirect target stashed by ``bpf_redirect_map`` for the
         #: data plane to consume after the current invocation returns
@@ -207,9 +116,9 @@ class BpfVm:
         scheduler saves this at every suspension and restores it when
         the task resumes, so interleaved tasks running *different*
         programs (or mid-tail-call chains) never see each other's
-        dispatch tables or pending redirect."""
-        return (self._current_prog, self._insns, self._decoded,
-                self._compiled, self.pending_redirect)
+        compiled frames or pending redirect."""
+        return (self._current_prog, self._insns, self._compiled,
+                self.pending_redirect)
 
     def restore_smp_state(self, state: Optional[tuple]) -> None:
         """Counterpart of :meth:`save_smp_state`; None (a task's first
@@ -217,12 +126,11 @@ class BpfVm:
         if state is None:
             self._current_prog = None
             self._insns = []
-            self._decoded = None
             self._compiled = None
             self.pending_redirect = None
         else:
-            (self._current_prog, self._insns, self._decoded,
-             self._compiled, self.pending_redirect) = state
+            (self._current_prog, self._insns, self._compiled,
+             self.pending_redirect) = state
 
     # -- identity used for refcount/lock/fault attribution -----------------
 
@@ -280,18 +188,13 @@ class BpfVm:
 
     def _activate(self, prog: object) -> None:
         """Bind the VM's frame-execution state to ``prog``: its
-        runnable instructions plus the dispatch table / compiled frame
-        function its effective engine needs."""
+        runnable instructions plus, on the compiled tier, its compiled
+        frame function."""
         self._current_prog = prog
         self._insns = prog.runnable_insns()
         engine = getattr(prog, "engine", None) or self.engine
-        if engine == "interp":
-            self._decoded = None
-            self._compiled = None
-        else:
-            self._decoded = self._decoded_for(prog)
-            self._compiled = self._compiled_for(prog) \
-                if engine == "compiled" else None
+        self._compiled = self._compiled_for(prog) \
+            if engine == "compiled" else None
 
     def _finish_tail_calls(self, req: TailCallRequest,
                            ctx_addr: int) -> int:
@@ -378,27 +281,18 @@ class BpfVm:
             cpu.preempt_enable()
             rcu.read_unlock()
 
-    def _decoded_for(self, prog: object) -> PredecodedProgram:
-        """The program's dispatch table, predecoding lazily if the
-        loader didn't attach one (e.g. hand-built test programs)."""
-        decoded = getattr(prog, "predecoded", None)
-        if decoded is not None and decoded.n_insns == len(self._insns):
-            return decoded
-        decoded = predecode(self._insns)
-        try:
-            prog.predecoded = decoded
-        except (AttributeError, TypeError):
-            pass  # frozen/slotted prog objects just predecode per run
-        return decoded
-
     def _compiled_for(self, prog: object) -> CompiledProgram:
         """The program's compiled frame function, compiling lazily if
-        the loader's compile cache didn't attach one."""
+        the loader's compile cache didn't attach one (e.g. hand-built
+        test programs)."""
         compiled = getattr(prog, "compiled", None)
         if compiled is not None and \
                 compiled.n_insns == len(self._insns):
             return compiled
-        compiled = compile_program(self._decoded)
+        decoded = getattr(prog, "predecoded", None)
+        if decoded is None or decoded.n_insns != len(self._insns):
+            decoded = predecode(self._insns)
+        compiled = compile_program(decoded)
         self.compiles += 1
         try:
             prog.compiled = compiled
@@ -415,268 +309,16 @@ class BpfVm:
         The compiled tier handles every statically-known frame entry
         (block leaders: program start, subprogram and callback
         targets); a dynamic entry it didn't see at compile time — an
-        arbitrary callback index fabricated at run time — falls back
-        to the dispatch-table executor, which accepts any pc."""
+        arbitrary callback index fabricated at run time — runs on the
+        reference executor, which accepts any pc."""
         compiled = self._compiled
         if compiled is not None:
             block = compiled.entry_blocks.get(start_idx)
             if block is not None:
                 return compiled.func(self, caller_regs, ctx_addr,
                                      depth, block)
-        if self._decoded is not None:
-            return self._run_frame_fast(start_idx, caller_regs,
-                                        ctx_addr, depth)
         return self._run_frame_slow(start_idx, caller_regs, ctx_addr,
                                     depth)
-
-    def _run_frame_fast(self, start_idx: int,
-                        caller_regs: Sequence[int],
-                        ctx_addr: Optional[int], depth: int) -> int:
-        """Dispatch-table executor with batched clock accounting.
-
-        ``pending`` counts instructions executed since the last flush;
-        every point where the virtual clock or ``insns_executed`` is
-        observable from outside the frame (memory, helpers, subprog
-        calls, backward edges, exit, and any raised fault) flushes
-        first, so totals agree with the decode-per-step path exactly.
-        """
-        if depth > 8:
-            raise BpfRuntimeError("call depth exceeded at run time")
-        kernel = self.kernel
-        mem = kernel.mem
-        mem_read = mem.read
-        mem_write = mem.write
-        work = kernel.work
-        tag = self.prog_tag
-        stack = mem.kmalloc(512, type_name="bpf_stack", owner=tag)
-        regs = [0] * 11
-        if ctx_addr is not None:
-            regs[1] = ctx_addr & U64
-        else:
-            regs[1:6] = [v & U64 for v in caller_regs[1:6]]
-        regs[10] = stack.base + 512
-        slots = self._decoded.slots
-        n = len(slots)
-        idx = start_idx
-        pending = 0
-        try:
-            while True:
-                if not 0 <= idx < n:
-                    raise BpfRuntimeError(f"pc out of range: {idx}")
-                slot = slots[idx]
-                kind = slot[0]
-                pending += 1
-
-                if kind == K_ALU64_K or kind == K_ALU64_X:
-                    op = slot[1]
-                    dr = slot[2]
-                    s = regs[slot[3]] if kind == K_ALU64_X else slot[3]
-                    d = regs[dr]
-                    if op == A_ADD:
-                        regs[dr] = (d + s) & U64
-                    elif op == A_SUB:
-                        regs[dr] = (d - s) & U64
-                    elif op == A_AND:
-                        regs[dr] = d & s
-                    elif op == A_OR:
-                        regs[dr] = d | s
-                    elif op == A_XOR:
-                        regs[dr] = d ^ s
-                    elif op == A_MUL:
-                        regs[dr] = (d * s) & U64
-                    elif op == A_LSH:
-                        regs[dr] = (d << (s & 63)) & U64
-                    elif op == A_RSH:
-                        regs[dr] = d >> (s & 63)
-                    elif op == A_DIV:
-                        regs[dr] = d // s if s else 0
-                    elif op == A_MOD:
-                        regs[dr] = d % s if s else d
-                    elif op == A_ARSH:
-                        sd = d - _F64 if d & _H64 else d
-                        regs[dr] = (sd >> (s & 63)) & U64
-                    elif op == A_NEG:
-                        regs[dr] = (-d) & U64
-                    else:
-                        raise BpfRuntimeError(
-                            f"unsupported ALU op {op:#x}")
-                    idx += 1
-                    continue
-
-                if kind == K_MOV64_K:
-                    regs[slot[1]] = slot[2]
-                    idx += 1
-                    continue
-                if kind == K_MOV64_X:
-                    regs[slot[1]] = regs[slot[2]]
-                    idx += 1
-                    continue
-
-                if kind == K_JMP_K or kind == K_JMP_X:
-                    d = regs[slot[2]]
-                    if kind == K_JMP_X:
-                        taken = _cond_eval(slot[1], d, regs[slot[3]],
-                                           _H64, _F64)
-                        target, backward = slot[4], slot[5]
-                    else:
-                        taken = _cond_eval_imm(slot[1], d, slot[3],
-                                               slot[4], _H64, _F64)
-                        target, backward = slot[5], slot[6]
-                    if taken:
-                        if backward:
-                            self.insns_executed += pending
-                            work(pending)
-                            pending = 0
-                        idx = target
-                    else:
-                        idx += 1
-                    continue
-
-                if kind == K_LDX:
-                    self.insns_executed += pending
-                    work(pending)
-                    pending = 0
-                    addr = (regs[slot[2]] + slot[3]) & U64
-                    regs[slot[1]] = int.from_bytes(
-                        mem_read(addr, slot[4], source=tag), "little")
-                    idx += 1
-                    continue
-                if kind == K_STX:
-                    self.insns_executed += pending
-                    work(pending)
-                    pending = 0
-                    addr = (regs[slot[1]] + slot[3]) & U64
-                    value = regs[slot[2]] & slot[5]
-                    mem_write(addr, value.to_bytes(slot[4], "little"),
-                              source=tag)
-                    idx += 1
-                    continue
-                if kind == K_ST:
-                    self.insns_executed += pending
-                    work(pending)
-                    pending = 0
-                    addr = (regs[slot[1]] + slot[2]) & U64
-                    mem_write(addr, slot[3], source=tag)
-                    idx += 1
-                    continue
-                if kind == K_ATOMIC:
-                    self.insns_executed += pending
-                    work(pending)
-                    pending = 0
-                    addr = (regs[slot[1]] + slot[3]) & U64
-                    self._atomic_rmw(regs, slot[5], addr, slot[4],
-                                     slot[2], mem, tag)
-                    idx += 1
-                    continue
-
-                if kind == K_ALU32_K or kind == K_ALU32_X:
-                    op = slot[1]
-                    dr = slot[2]
-                    s = regs[slot[3]] & U32 if kind == K_ALU32_X \
-                        else slot[3]
-                    d = regs[dr] & U32
-                    if op == A_ADD:
-                        regs[dr] = (d + s) & U32
-                    elif op == A_SUB:
-                        regs[dr] = (d - s) & U32
-                    elif op == A_AND:
-                        regs[dr] = d & s
-                    elif op == A_OR:
-                        regs[dr] = d | s
-                    elif op == A_XOR:
-                        regs[dr] = d ^ s
-                    elif op == A_MUL:
-                        regs[dr] = (d * s) & U32
-                    elif op == A_LSH:
-                        regs[dr] = (d << (s & 31)) & U32
-                    elif op == A_RSH:
-                        regs[dr] = d >> (s & 31)
-                    elif op == A_DIV:
-                        regs[dr] = d // s if s else 0
-                    elif op == A_MOD:
-                        regs[dr] = d % s if s else d
-                    elif op == A_ARSH:
-                        sd = d - _F32 if d & _H32 else d
-                        regs[dr] = (sd >> (s & 31)) & U32
-                    elif op == A_NEG:
-                        regs[dr] = (-d) & U32
-                    else:
-                        raise BpfRuntimeError(
-                            f"unsupported ALU op {op:#x}")
-                    idx += 1
-                    continue
-                if kind == K_MOV32_K:
-                    regs[slot[1]] = slot[2]
-                    idx += 1
-                    continue
-                if kind == K_MOV32_X:
-                    regs[slot[1]] = regs[slot[2]] & U32
-                    idx += 1
-                    continue
-
-                if kind == K_JMP32_K or kind == K_JMP32_X:
-                    d = regs[slot[2]] & U32
-                    if kind == K_JMP32_X:
-                        taken = _cond_eval(slot[1], d,
-                                           regs[slot[3]] & U32,
-                                           _H32, _F32)
-                        target, backward = slot[4], slot[5]
-                    else:
-                        taken = _cond_eval_imm(slot[1], d, slot[3],
-                                               slot[4], _H32, _F32)
-                        target, backward = slot[5], slot[6]
-                    if taken:
-                        if backward:
-                            self.insns_executed += pending
-                            work(pending)
-                            pending = 0
-                        idx = target
-                    else:
-                        idx += 1
-                    continue
-
-                if kind == K_LD_IMM64:
-                    regs[slot[1]] = slot[2]
-                    idx = slot[3]
-                    continue
-                if kind == K_JA:
-                    if slot[2]:
-                        self.insns_executed += pending
-                        work(pending)
-                        pending = 0
-                    idx = slot[1]
-                    continue
-                if kind == K_CALL_HELPER:
-                    self.insns_executed += pending
-                    work(pending)
-                    pending = 0
-                    regs[0] = self._call_helper(slot[1], regs)
-                    idx += 1
-                    continue
-                if kind == K_CALL_SUB:
-                    self.insns_executed += pending
-                    work(pending)
-                    pending = 0
-                    regs[0] = self._run_frame_fast(slot[1], regs,
-                                                   None, depth + 1)
-                    idx += 1
-                    continue
-                if kind == K_EXIT:
-                    self.insns_executed += pending
-                    work(pending)
-                    pending = 0
-                    if depth == 0:
-                        self.last_exit_regs = list(regs)
-                    return regs[0]
-                # K_BAD and anything unexpected
-                raise BpfRuntimeError(slot[1] if kind == K_BAD else
-                                      f"undecodable slot at {idx}")
-        finally:
-            if pending:
-                self.insns_executed += pending
-                work(pending)
-            if not stack.freed:
-                mem.kfree(stack)
 
     def _run_frame_slow(self, start_idx: int,
                         caller_regs: Sequence[int],

@@ -60,7 +60,8 @@ class LoadedProgram:
     insns: List[Insn]
     verifier_stats: VerifierStats
     jit: Optional[JitResult] = None
-    #: dispatch table over ``runnable_insns()``, attached at load time
+    #: predecoded slot table over ``runnable_insns()`` (the compiled
+    #: tier's IR), attached at load time
     predecoded: Optional[PredecodedProgram] = None
     #: exec-compiled frame function (compiled tier), attached at load
     #: time when the subsystem's engine is ``compiled``
@@ -82,7 +83,6 @@ class BpfSubsystem:
                  limits: Optional[VerifierLimits] = None,
                  use_jit: bool = True,
                  use_load_cache: bool = True,
-                 fast_path: Optional[bool] = None,
                  engine: EngineLike = None) -> None:
         self.kernel = kernel
         self.registry = registry or build_default_registry()
@@ -101,8 +101,7 @@ class BpfSubsystem:
         self._progs: Dict[int, LoadedProgram] = {}
         self._next_fd = 3
         self._next_prog_id = 1
-        self.vm = BpfVm(kernel, self, self.bugs, fast_path=fast_path,
-                        engine=engine)
+        self.vm = BpfVm(kernel, self, self.bugs, engine=engine)
         #: the [22] sysctl: the kernel community's response to
         #: verifier distrust was to disallow unprivileged loading
         #: entirely — on by default since 2021

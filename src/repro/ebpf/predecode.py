@@ -1,18 +1,18 @@
-"""Load-time predecoding: lower ``Insn`` objects into a dispatch table.
+"""Load-time predecoding: lower ``Insn`` objects into the compiler's IR.
 
 The decode-per-step interpreter re-derives the instruction class, size
 bits, source mode and sign extensions of every instruction *on every
 execution* — pure overhead, since none of it changes after load.  This
 pass runs once per program (and is cached content-addressed by the
 loader, see :mod:`repro.ebpf.progcache`) and emits one flat tuple per
-instruction slot with everything pre-resolved:
+instruction slot with everything pre-resolved, which
+:mod:`repro.ebpf.compile` lowers to Python source:
 
-* opcode class and operation mapped to dense small-integer kinds the
-  fast interpreter dispatches on with literal comparisons,
+* opcode class and operation mapped to dense small-integer kinds,
 * memory access sizes in bytes, store width masks, and ``BPF_ST``
   immediate payloads rendered to their little-endian byte strings,
 * jump targets as absolute instruction indices (plus a backward-edge
-  flag, which the fast path uses as a virtual-clock flush point),
+  flag, which the compiled tier uses as a virtual-clock flush point),
 * ``ld_imm64`` constants fully materialised, including the
   ``BPF_PSEUDO_MAP_FD`` / ``BPF_PSEUDO_FUNC`` sentinels,
 * immediates pre-sign-extended in both the unsigned and signed
@@ -25,7 +25,7 @@ hidden-instruction attack (and its verifier rejection) faithful.
 
 Predecoding is purely mechanical — it proves nothing.  An unverified
 program predecodes fine and still oopses the kernel at run time; the
-table only removes interpretive overhead from the hot path (the same
+table only moves decoding work off the hot path (the same
 move Rex/MOAT make by pushing checks to load time).
 """
 
@@ -44,7 +44,7 @@ FUNC_PTR_BASE = 0xFFFF_FFFF_A000_0000
 U64 = (1 << 64) - 1
 U32 = (1 << 32) - 1
 
-# -- slot kinds (dense ints; the fast interpreter compares literals) ----------
+# -- slot kinds (dense ints) --------------------------------------------------
 K_BAD = 0           # (K_BAD, message)
 K_EXIT = 1          # (K_EXIT,)
 K_JA = 2            # (K_JA, target, backward)

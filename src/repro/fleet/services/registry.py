@@ -1,7 +1,6 @@
 """Signed release images: the fleet's unit of deployment.
 
-§3.1's trusted toolchain signs an extension once; every kernel then
-checks the signature instead of re-verifying the program.  A
+§3.1's trusted toolchain signs an extension once.  A
 :class:`Release` is that signed artifact at fleet scale: a named,
 versioned bytecode image whose content hash (the same per-instruction
 serialization the load cache keys on —
@@ -11,6 +10,15 @@ version and HMAC-signed by the registry's
 (here: the same deterministic key) and refuse anything that does not
 verify — a tampered image or a signature lifted from another version
 both fail closed.
+
+A signature admits an image; it does not replace the load-time check.
+:meth:`~repro.fleet.adapters.node.FleetNode.deploy` checks the HMAC
+first and then loads the bytes through
+:meth:`~repro.ebpf.loader.BpfSubsystem.load_program`, which runs the
+node's own verifier — as kernel BPF signing checks a program's
+signature and still verifies it.  Only a repeat load of identical
+bytes on the same node skips the verifier, through that node's load
+cache.
 """
 
 from __future__ import annotations

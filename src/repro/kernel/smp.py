@@ -25,7 +25,7 @@ kind                where it fires
 ``mem.access``      load/store hitting shared map storage or a kernel
                     object (per-CPU slices and private stacks excluded)
 ``ringbuf.produce`` ring-buffer record production
-``helper``          every helper call (all three engines route here)
+``helper``          every helper call (both tiers route here)
 ``migrate``         task moved to another CPU's queue
 ``ipi``             cross-CPU function-call delivery
 ``block``/``spawn``/``exit``  scheduler-internal transitions

@@ -4,7 +4,7 @@ A :class:`LoadGen` turns a ``(profile, seed)`` pair into an exactly
 reproducible packet stream: same profile, same seed, same packets with
 the same virtual inter-arrival gaps, every run, on every engine tier.
 That determinism is what lets the differential suite demand identical
-verdict counts across interp/fast/compiled and the bench demand
+verdict counts across interp/compiled and the bench demand
 bit-identical signatures across repeats.
 
 Packets follow the repo's canonical format — ``<HB`` little-endian

@@ -736,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="use a kernel with all modeled bugs fixed")
     common.add_argument("--engine", default=None,
                         choices=list(ENGINE_NAMES),
-                        help="execution tier (default: fast)")
+                        help="execution tier (default: compiled)")
 
     verify = prog_sub.add_parser("verify", parents=[common],
                                  help="run the in-kernel verifier")

@@ -105,14 +105,15 @@ class TestLoaderIntegration:
         assert second.compiled is first.compiled
 
     def test_backfill_when_cached_under_other_engine(self):
-        # first load under the fast engine caches verify/jit/predecode
-        # artifacts with no compiled function; a compiled-tier reload
-        # of the same bytes compiles once and backfills the entry
+        # first load under the interp engine caches verify/jit/
+        # predecode artifacts with no compiled function; a
+        # compiled-tier reload of the same bytes compiles once and
+        # backfills the entry
         kernel = Kernel()
-        fast = BpfSubsystem(kernel, engine="fast")
-        fast.load_program(_branchy_program(), ProgType.KPROBE, "c1")
+        interp = BpfSubsystem(kernel, engine="interp")
+        interp.load_program(_branchy_program(), ProgType.KPROBE, "c1")
         compiled = BpfSubsystem(kernel, engine="compiled")
-        compiled.load_cache = fast.load_cache
+        compiled.load_cache = interp.load_cache
         prog = compiled.load_program(_branchy_program(),
                                      ProgType.KPROBE, "c2")
         assert prog.compiled is not None
@@ -132,7 +133,7 @@ class TestLoaderIntegration:
 
     def test_other_engines_skip_compilation(self):
         kernel = Kernel()
-        bpf = BpfSubsystem(kernel, engine="fast")
+        bpf = BpfSubsystem(kernel, engine="interp")
         prog = bpf.load_program(_branchy_program(), ProgType.KPROBE,
                                 "c1")
         assert prog.compiled is None
@@ -142,7 +143,7 @@ class TestLoaderIntegration:
 class TestEnginePinning:
     def test_set_engine_pins_one_program(self):
         kernel = Kernel()
-        bpf = BpfSubsystem(kernel, engine="fast")
+        bpf = BpfSubsystem(kernel, engine="interp")
         prog = bpf.load_program(_branchy_program(), ProgType.KPROBE,
                                 "pin")
         bpf.set_engine(prog, "compiled")

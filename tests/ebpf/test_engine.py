@@ -14,12 +14,12 @@ from repro.net.programs import pass_all_prog
 
 class TestResolver:
     def test_enum_members_match_names(self):
-        assert ENGINE_NAMES == ("interp", "fast", "compiled")
+        assert ENGINE_NAMES == ("interp", "compiled")
         assert ENGINES == ENGINE_NAMES  # legacy alias preserved
         assert [str(e) for e in Engine] == list(ENGINE_NAMES)
 
     def test_resolves_strings_enums_and_none(self):
-        assert resolve_engine("fast") == "fast"
+        assert resolve_engine("interp") == "interp"
         assert resolve_engine(Engine.COMPILED) == "compiled"
         assert resolve_engine(None) is None
         assert resolve_engine(None, default=Engine.INTERP) == "interp"
@@ -27,6 +27,9 @@ class TestResolver:
     def test_unknown_engine_is_loud(self):
         with pytest.raises(ValueError, match="unknown engine"):
             resolve_engine("turbo")
+        # the retired predecoded tier is no longer a selectable name
+        with pytest.raises(ValueError, match="unknown engine"):
+            resolve_engine("fast")
 
 
 class TestWiring:
@@ -49,7 +52,8 @@ class TestWiring:
     def test_set_engine_accepts_enum(self, leakcheck):
         kernel = Kernel()
         leakcheck(kernel)
-        bpf = BpfSubsystem(kernel, bugs=BugConfig.all_patched())
+        bpf = BpfSubsystem(kernel, bugs=BugConfig.all_patched(),
+                           engine=Engine.INTERP)
         prog = bpf.load_program(pass_all_prog(), ProgType.XDP, "p")
         bpf.set_engine(prog, Engine.COMPILED)
         assert prog.engine == "compiled"

@@ -1,16 +1,17 @@
-"""Differential tests: every execution engine vs the reference path.
+"""Differential tests: the compiled tier vs the reference interpreter.
 
-The predecoded fast path and the compiled tier must be
-observationally identical to the decode-per-step interpreter — same
-return values, same ``insns_executed``, same virtual-clock totals,
-same oops behaviour.  Two layers of evidence:
+The compiled tier must be observationally identical to the
+decode-per-step interpreter — same return values, same
+``insns_executed``, same virtual-clock totals, same oops behaviour.
+Two layers of evidence:
 
 * the full eBPF attack corpus, run through every engine, must land on
   the same :class:`Outcome` and the same kernel taint/oops state;
 * a battery of direct programs (ALU mixes, stack traffic, jumps,
-  subprogs, ``bpf_loop``, atomics, tail calls, and an unverified
-  wild-pointer crasher) must produce bit-identical results and
-  identical accounting on every engine.
+  subprogs, ``bpf_loop``, atomics, tail calls, an unverified
+  wild-pointer crasher, and a callback entered mid-block that the
+  compiled tier hands to the reference executor) must produce
+  bit-identical results and identical accounting on every engine.
 """
 
 import pytest
@@ -22,6 +23,7 @@ from repro.ebpf.helpers import ids
 from repro.ebpf.interpreter import ENGINES
 from repro.ebpf.isa import R0, R1, R2, R3, R4, R6, R10
 from repro.ebpf.loader import BpfSubsystem
+from repro.ebpf.predecode import FUNC_PTR_BASE
 from repro.ebpf.progs import ProgType
 from repro.attacks.corpus import build_corpus, run_case
 from repro.kernel import Kernel
@@ -29,24 +31,21 @@ from repro.kernel import Kernel
 EBPF_CASES = [c for c in build_corpus() if c.framework == "ebpf"]
 
 
-def _observe(case, engine):
+def _observe(case, engine, monkeypatch):
     """Run one corpus case on a fresh kernel with the given engine."""
-    old = interp_mod.DEFAULT_ENGINE
-    interp_mod.DEFAULT_ENGINE = engine
-    try:
-        kernel = Kernel()
-        outcome = run_case(case, kernel=kernel)
-        oopses = [(o.category, o.source) for o in kernel.log.oopses]
-        return outcome, kernel.log.tainted, oopses
-    finally:
-        interp_mod.DEFAULT_ENGINE = old
+    monkeypatch.setattr(interp_mod, "DEFAULT_ENGINE", engine)
+    kernel = Kernel()
+    outcome = run_case(case, kernel=kernel)
+    oopses = [(o.category, o.source) for o in kernel.log.oopses]
+    return outcome, kernel.log.tainted, oopses
 
 
 class TestCorpusDifferential:
     @pytest.mark.parametrize(
         "case", EBPF_CASES, ids=[c.case_id for c in EBPF_CASES])
-    def test_engines_agree_on_attack_corpus(self, case):
-        seen = {engine: _observe(case, engine) for engine in ENGINES}
+    def test_engines_agree_on_attack_corpus(self, case, monkeypatch):
+        seen = {engine: _observe(case, engine, monkeypatch)
+                for engine in ENGINES}
         baseline = seen["interp"]
         for engine, obs in seen.items():
             assert obs == baseline, (
@@ -278,6 +277,41 @@ class TestDirectDifferential:
             msgs.append(str(err.value))
         assert len(set(msgs)) == 1, msgs
 
+    def test_callback_entered_mid_block_runs_on_reference(self):
+        """A callback index computed at run time can land inside a
+        basic block the compiled tier has no entry for; that frame
+        runs on the reference executor with identical accounting."""
+        from repro.ebpf.interpreter import BpfVm
+        from repro.ebpf.loader import LoadedProgram
+        from repro.ebpf.verifier.analyzer import VerifierStats
+
+        insns = (Asm()
+                 .ld_imm64(R2, FUNC_PTR_BASE + 8)
+                 .alu64_imm("add", R2, 1)       # callback pc 9
+                 .mov64_imm(R1, 3)
+                 .mov64_imm(R4, 0)
+                 .call(ids.BPF_FUNC_loop)
+                 .exit_()
+                 .mov64_imm(R0, 1)              # pc 7: block leader
+                 .mov64_imm(R0, 2)
+                 .mov64_imm(R0, 0)              # pc 9: mid-block
+                 .exit_()
+                 .program())
+        seen = {}
+        for engine in ENGINES:
+            kernel = Kernel()
+            bpf = BpfSubsystem(kernel)
+            vm = BpfVm(kernel, bpf, engine=engine)
+            prog = LoadedProgram(1, "midblock", ProgType.KPROBE, insns,
+                                 VerifierStats())
+            regs = kernel.mem.kmalloc(64, type_name="pt_regs",
+                                      owner="test")
+            ret = vm.run(prog, regs.base)
+            if engine == "compiled":
+                assert 9 not in prog.compiled.entry_blocks
+            seen[engine] = (ret, vm.insns_executed, kernel.clock.now_ns)
+        assert seen == {engine: (3, 12, 32) for engine in ENGINES}
+
 
 class TestStatsDifferential:
     """With stats enabled, every engine must report identical
@@ -298,7 +332,7 @@ class TestStatsDifferential:
             seen.append((row.run_cnt, row.run_time_ns, row.insns,
                          row.helper_calls,
                          dict(row.helper_counts)))
-        assert seen[0] == seen[1] == seen[2], (
+        assert all(obs == seen[0] for obs in seen), (
             f"stats diverged across engines: {seen}")
         return seen[0]
 

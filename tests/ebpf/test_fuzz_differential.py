@@ -1,7 +1,8 @@
-"""Seeded differential fuzzing: interpreter vs fast path vs JIT.
+"""Seeded differential fuzzing: interpreter vs compiled tier vs JIT.
 
 :func:`repro.analysis.fuzz.differential_campaign` generates random
-programs and demands that all three execution engines agree on every
+programs and demands that every engine configuration in
+:data:`~repro.analysis.fuzz.DIFF_ENGINES` agrees on every
 observable — result or exception, final register file, instruction
 and helper accounting, virtual-clock totals, kernel health, and the
 telemetry row.  CI replays fixed seeds so a divergence is a

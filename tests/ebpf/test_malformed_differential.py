@@ -15,7 +15,7 @@ regression-pinned here):
   the decode-per-step path let a raw ``IndexError`` escape instead of
   a ``BpfRuntimeError``;
 * the precomputed signed jump immediates predecode promised but no
-  engine consumed (now load-bearing in the fast and compiled tiers,
+  engine consumed (now load-bearing in the compiled tier,
   exercised by the signed-jump case below).
 """
 

@@ -78,9 +78,9 @@ class TestSubsystemSide:
         assert bpf.vm.engine == "compiled"
 
     def test_describe_is_one_line(self):
-        spec = KernelSpec(engine="fast", recovery=True,
+        spec = KernelSpec(engine="compiled", recovery=True,
                           stats_enabled=True).with_faults(3, "x=oneshot=panic")
         text = spec.describe()
-        assert "engine=fast" in text
+        assert "engine=compiled" in text
         assert "recovery=on" in text
         assert "seed=3" in text

@@ -1,9 +1,9 @@
 """Cross-engine data-plane parity.
 
-The same seeded traffic through interp / fast / compiled must yield
+The same seeded traffic through interp and compiled must yield
 identical verdict counts, identical virtual-clock totals, and
 byte-identical ringbuf contents.  Program execution is the only thing
-that advances the clock per packet, and the engines are pinned to
+that advances the clock per packet, and the tiers are pinned to
 advance it identically — so the whole plane (latency histograms
 included) must agree bit-for-bit, which the signature checks.
 """
@@ -15,7 +15,7 @@ from repro.kernel import Kernel
 from repro.net import DataPlane, LoadGen
 from repro.net import programs as xdp_programs
 
-ENGINES = ("interp", "fast", "compiled")
+ENGINES = ("interp", "compiled")
 
 
 def run_plane(engine, profile, seed, count=1500):
@@ -43,7 +43,7 @@ def test_engines_agree_end_to_end(profile):
     results = {engine: run_plane(engine, profile, seed=11)
                for engine in ENGINES}
     baseline = results["interp"]
-    for engine in ("fast", "compiled"):
+    for engine in ENGINES[1:]:
         summary, drained, signature = results[engine]
         assert summary["verdicts"] == baseline[0]["verdicts"], engine
         assert summary["clock_ns"] == baseline[0]["clock_ns"], engine

@@ -1,5 +1,5 @@
 """Per-CPU maps under SMP: slot resolution follows the *executing*
-CPU at yield-point granularity, identically on all three engines."""
+CPU at yield-point granularity, identically on both execution tiers."""
 
 import struct
 
@@ -11,7 +11,7 @@ from repro.ebpf.isa import R0, R1, R2, R10
 from repro.kernel import Kernel
 from repro.kernel.smp import ScriptedInterleaving, SmpScheduler
 
-ENGINES = ("interp", "fast", "compiled")
+ENGINES = ("interp", "compiled")
 
 
 def key(i: int) -> bytes:
@@ -161,4 +161,4 @@ class TestCrossEngine:
             smp.spawn(updater(2), cpu=1, name="b")
             smp.run()
             return smp.trace_signature(), pc.sum_u64(0)
-        assert run_once(engine) == run_once("fast")
+        assert run_once(engine) == run_once("interp")

@@ -9,7 +9,7 @@ from repro.net import DataPlane, LoadGen
 from repro.net import programs as xdp_programs
 
 
-def build(engine="fast", queues=None):
+def build(engine="compiled", queues=None):
     kernel = Kernel(nr_cpus=2)
     bpf = BpfSubsystem(kernel, engine=engine)
     plane = DataPlane(kernel, bpf, ringbuf_bytes=1 << 14)

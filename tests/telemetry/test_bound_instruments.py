@@ -62,7 +62,7 @@ def helper_prog():
             .call(ids.BPF_FUNC_get_current_pid_tgid).exit_()).program()
 
 
-@pytest.mark.parametrize("engine", ("interp", "fast", "compiled"))
+@pytest.mark.parametrize("engine", ("interp", "compiled"))
 def test_vm_run_binds_after_first_run(kernel, lookups, engine):
     bpf = BpfSubsystem(kernel, engine=engine)
     prog = bpf.load_program(helper_prog(), ProgType.KPROBE, "h")

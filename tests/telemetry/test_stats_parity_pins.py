@@ -33,7 +33,7 @@ CHUNKS = 4
 #: bit, so one pin holds for every tier
 FIREWALL_PIN = (
     "cbefc59745c2addc3209fceaea5b0462e2aba8f22c00fc1fd57f6643c4fdfb74")
-ENGINES = ("interp", "fast", "compiled")
+ENGINES = ("interp", "compiled")
 
 #: digest of the SafeLang firewall run (run stats + kcrate helpers)
 SAFELANG_PIN = (
