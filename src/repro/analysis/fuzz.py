@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.ebpf import isa
 from repro.ebpf.bugs import BugConfig

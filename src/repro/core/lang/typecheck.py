@@ -9,7 +9,7 @@ takes the role of the verifier").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.lang import ast
 from repro.core.lang import types as T

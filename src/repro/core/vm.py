@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.kcrate.api import ApiTable
-from repro.core.kcrate.resources import KernelResource, VecHandle
+from repro.core.kcrate.resources import KernelResource
 from repro.core.lang import ast
 from repro.core.lang import types as T
 from repro.core.runtime.cleanup import CleanupList

@@ -27,7 +27,7 @@ Supported forms:
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.ebpf import isa
 from repro.ebpf.asm import Asm

@@ -8,8 +8,6 @@ pointer reaching a helper produces a genuine kernel fault.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.ebpf.helpers.base import HelperCallContext
 
 EINVAL = 22

@@ -10,7 +10,7 @@ rest of the 249, carrying the metadata the measurements need
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.ebpf.helpers import ids
 from repro.ebpf.helpers import impls_core, impls_net, impls_sys

@@ -35,7 +35,7 @@ Two execution tiers share the semantics:
 ``LoadedProgram.engine``) selects a tier explicitly;
 ``DEFAULT_ENGINE`` picks for VMs that don't.  Both tiers must stay
 observationally identical (see
-``tests/ebpf/test_fastpath_differential.py`` and
+``tests/ebpf/test_engine_differential.py`` and
 ``tests/ebpf/test_malformed_differential.py``).
 """
 

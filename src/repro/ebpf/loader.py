@@ -12,7 +12,7 @@ component.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.ebpf.bugs import BugConfig

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.ebpf import isa
 from repro.ebpf.bugs import BugConfig
-from repro.ebpf.helpers.base import ArgType, FuncProto, HelperSpec
+from repro.ebpf.helpers.base import ArgType, HelperSpec
 from repro.ebpf.helpers.registry import HelperRegistry
 from repro.ebpf.isa import Insn
 from repro.ebpf.verifier import bounds
@@ -34,7 +34,6 @@ from repro.ebpf.verifier.regstate import (
     S64_MIN,
     U64_MAX,
     u64_to_s64,
-    s64_to_u64,
 )
 from repro.ebpf.verifier.states import ExploredStates, VerifierState
 from repro.ebpf.verifier.tnum import Tnum

@@ -18,7 +18,7 @@ are tried.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.ebpf.verifier.regstate import (

@@ -17,7 +17,6 @@ Three conditions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.attacks import Outcome, build_corpus, run_case
 from repro.core import SafeExtensionFramework

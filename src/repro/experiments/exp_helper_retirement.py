@@ -14,7 +14,6 @@ Classifies the helper population (retire / simplify / wrap / keep) and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
 
 from repro.analysis.helper_survey import SurveyReport, run_survey
 from repro.core import SafeExtensionFramework

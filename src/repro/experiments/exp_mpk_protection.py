@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from repro.core.runtime.mempool import MemoryPool
 from repro.core.runtime.mpk import (
     MemoryProtectionKeys,
-    PKEY_EXTENSION,
     protect_extension_memory,
 )
 from repro.errors import ProtectionKeyFault

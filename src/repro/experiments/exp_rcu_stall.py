@@ -23,8 +23,8 @@ cleanup and zero RCU stalls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.core import SafeExtensionFramework
 from repro.ebpf import Asm, BpfSubsystem, ProgType

@@ -21,14 +21,14 @@ Measured here:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.signing import SigningKey
 from repro.ebpf import Asm, BpfSubsystem, ProgType
 from repro.ebpf.isa import R0, R1
 from repro.ebpf.verifier.limits import VerifierLimits
-from repro.errors import VerifierError, VerifierLimitExceeded
+from repro.errors import VerifierLimitExceeded
 from repro.experiments import report
 from repro.kernel.kernel import Kernel
 

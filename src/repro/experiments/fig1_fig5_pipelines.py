@@ -18,8 +18,8 @@ from checked code into unsafe territory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import List
 
 from repro.core import SafeExtensionFramework
 from repro.ebpf import Asm, BpfSubsystem, ProgType

@@ -9,8 +9,8 @@ phenomenon (feature checks dominating a small core) at model scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.analysis.history import (
     SeriesPoint,

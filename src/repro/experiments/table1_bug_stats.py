@@ -9,14 +9,12 @@ bugs are real behaviours, not just labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.analysis.bugs import (
     TABLE1_EXPECTED,
-    BugRecord,
     executable_bugs,
-    full_bug_table,
     table1_counts,
     totals,
 )

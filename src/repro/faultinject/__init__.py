@@ -11,7 +11,9 @@ pipeline — all reproducible from a single seed.
 
 ``repro.faultinject.chaos`` (imported explicitly, not re-exported
 here, to avoid a cycle through the attack corpus) replays the attack
-corpus under canned fault schedules and checks isolation invariants.
+corpus under canned fault schedules and checks isolation invariants;
+``repro.faultinject.replay`` is the result, report and run-twice CLI
+core it shares with ``repro.fleet.chaos``.
 """
 
 from repro.faultinject.plane import (

@@ -34,15 +34,19 @@ recovered.  The supervisor's audit trail is folded into the replay
 signature, so the determinism check also proves quarantine decisions
 and backoff timings are a pure function of the seed.
 
+The corpus cases, the per-schedule data-plane case and the recovery
+demonstration share one kernel set-up, one load-retry helper and one
+check epilogue (``_Replay``), so the data-plane case gets the same
+liveness checks under ``--recover`` as every corpus case.  Results,
+the report and the run-twice CLI come from
+:mod:`repro.faultinject.replay`.
+
 Run it: ``PYTHONPATH=src python -m repro.faultinject.chaos``.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.attacks.corpus import build_corpus, run_case
@@ -65,10 +69,16 @@ from repro.faultinject.plane import (
     NthHit,
     Probability,
 )
+from repro.faultinject.replay import (
+    DEFAULT_SEED,
+    ReplayReport,
+    ReplayResult,
+    case_seed,
+    replay_parser,
+    run_and_report,
+)
 from repro.kernel.kernel import Kernel
 from repro.recovery import HealthState
-
-DEFAULT_SEED = 20230622  # HotOS'23
 
 
 def _arm_helper_errno(plane: FaultPlane) -> None:
@@ -203,107 +213,88 @@ FLEET_SCHEDULES: Dict[str, Callable[[FaultPlane], None]] = {
 }
 
 
-def case_seed(seed: int, case_id: str, schedule: str) -> int:
-    """Per-(case, schedule) seed, derived stably from the master seed
-    (``hash()`` is salted per interpreter run, so not that)."""
-    digest = hashlib.sha256(
-        f"{seed}:{case_id}:{schedule}".encode()).digest()
-    return int.from_bytes(digest[:8], "little")
+class _Replay:
+    """One replay on a fresh kernel with one canned schedule armed,
+    and the checks every case ends with.  With ``recover`` the kernel
+    runs supervised and must end the replay *alive*, not merely
+    balanced."""
 
+    def __init__(self, case_id: str, schedule: str, seed: int,
+                 recover: bool, trigger: Optional[str] = None) -> None:
+        self.key = (case_id, schedule)
+        self.kernel = Kernel()
+        self.supervisor = (self.kernel.enable_recovery() if recover
+                           else None)
+        self.plane = self.kernel.faults
+        self.plane.enable(case_seed(seed, case_id, schedule))
+        if trigger is not None:
+            # armed BEFORE the schedule so it wins the site walk;
+            # panic() at a helper boundary is the [54]-style oops the
+            # containment path exists for
+            self.plane.arm(trigger, Probability(1.0), FaultAction.panic())
+        SCHEDULES[schedule](self.plane)
+        self.violations: List[str] = []
+        #: signature parts folded in after the fault trace, read once
+        #: the replay and its checks are done
+        self.signed: List[Callable[[], str]] = []
 
-@dataclass
-class CaseResult:
-    """One (case × schedule) replay."""
+    def load(self, bpf: BpfSubsystem, build: Callable[[], list],
+             prog_type: ProgType, name: str) -> Optional[object]:
+        """Load ``build()``, retrying up to 32 times: load-chaos may
+        refuse even retried loads.  None (and a violation) when every
+        attempt was refused."""
+        for _ in range(32):
+            try:
+                return bpf.load_program(build(), prog_type, name=name)
+            except VerifierError:
+                continue
+        self.violations.append(f"could not load {name}")
+        return None
 
-    case_id: str
-    schedule: str
-    outcome: str
-    faults_injected: int
-    trace_signature: str
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when every invariant held for this replay."""
-        return not self.violations
-
-
-@dataclass
-class ChaosReport:
-    """One full corpus replay."""
-
-    seed: int
-    results: List[CaseResult]
-
-    @property
-    def violations(self) -> List[str]:
-        """Every violation across the replay, labeled by case."""
-        return [f"{r.case_id} × {r.schedule}: {v}"
-                for r in self.results for v in r.violations]
-
-    @property
-    def clean(self) -> bool:
-        """True when the whole replay held every invariant."""
-        return not self.violations
-
-    @property
-    def total_faults(self) -> int:
-        """Faults delivered across every case and schedule."""
-        return sum(r.faults_injected for r in self.results)
-
-    def signature(self) -> str:
-        """Digest of every per-case fault trace, for determinism
-        comparisons across whole replays."""
-        digest = hashlib.sha256()
-        for r in self.results:
-            digest.update(
-                f"{r.case_id}:{r.schedule}:{r.outcome}:"
-                f"{r.trace_signature}".encode())
-        return digest.hexdigest()
+    def run(self, body: Callable[[], str]) -> ReplayResult:
+        """Run ``body`` (which returns the outcome) inside the sandbox
+        boundary, then check the kernel it left behind."""
+        kernel = self.kernel
+        try:
+            outcome = body()
+        except ReproError as exc:
+            # a simulated kernel event crossing the boundary is legal;
+            # the invariants below decide whether it was handled cleanly
+            outcome = f"raised:{type(exc).__name__}"
+        except Exception as exc:  # noqa: BLE001 — the point of the harness
+            outcome = f"escaped:{type(exc).__name__}"
+            self.violations.append(
+                "non-kernel exception escaped the sandbox boundary: "
+                f"{type(exc).__name__}: {exc}")
+        self.violations.extend(collect_violations(kernel))
+        if not panic_path_consistent(kernel):
+            self.violations.append(
+                "taint/oops mismatch: kernel died outside the official "
+                f"panic path (tainted={kernel.log.tainted}, "
+                f"oopses={len(kernel.log.oopses)})")
+        if self.supervisor is not None:
+            try:
+                kernel.check_alive()
+            except ReproError as exc:
+                self.violations.append(
+                    f"kernel not alive after supervised replay: {exc}")
+            self.violations.extend(recovery_consistent(kernel))
+        signature = ":".join([self.plane.trace_signature(),
+                              *(part() for part in self.signed)])
+        return ReplayResult(
+            key=self.key, outcome=outcome, signature=signature,
+            counts={"faults": len(self.plane.records)},
+            violations=self.violations)
 
 
 def run_case_under_schedule(case: object, schedule: str, seed: int,
-                            recover: bool = False) -> CaseResult:
-    """Replay one attack case on a fresh kernel with one canned fault
-    schedule armed.  With ``recover`` the kernel runs supervised and
-    must end the replay *alive*, not merely balanced."""
-    kernel = Kernel()
-    supervisor = kernel.enable_recovery() if recover else None
-    plane = kernel.faults
-    plane.enable(case_seed(seed, case.case_id, schedule))
-    SCHEDULES[schedule](plane)
-    violations: List[str] = []
-    try:
-        outcome = run_case(case, kernel=kernel).value
-    except ReproError as exc:
-        # a simulated kernel event crossing the boundary is legal;
-        # the invariants below decide whether it was handled cleanly
-        outcome = f"raised:{type(exc).__name__}"
-    except Exception as exc:  # noqa: BLE001 — the point of the harness
-        outcome = f"escaped:{type(exc).__name__}"
-        violations.append(
-            "non-kernel exception escaped the sandbox boundary: "
-            f"{type(exc).__name__}: {exc}")
-    violations.extend(collect_violations(kernel))
-    if not panic_path_consistent(kernel):
-        violations.append(
-            "taint/oops mismatch: kernel died outside the official "
-            f"panic path (tainted={kernel.log.tainted}, "
-            f"oopses={len(kernel.log.oopses)})")
-    signature = plane.trace_signature()
-    if supervisor is not None:
-        try:
-            kernel.check_alive()
-        except ReproError as exc:
-            violations.append(
-                f"kernel not alive after supervised replay: {exc}")
-        violations.extend(recovery_consistent(kernel))
-        signature = f"{signature}:{supervisor.audit_signature()}"
-    return CaseResult(
-        case_id=case.case_id, schedule=schedule, outcome=outcome,
-        faults_injected=len(plane.records),
-        trace_signature=signature,
-        violations=violations)
+                            recover: bool = False) -> ReplayResult:
+    """Replay one attack case with one canned fault schedule armed;
+    with ``recover`` the supervisor's audit trail is signed too."""
+    replay = _Replay(case.case_id, schedule, seed, recover)
+    if recover:
+        replay.signed.append(replay.supervisor.audit_signature)
+    return replay.run(lambda: run_case(case, kernel=replay.kernel).value)
 
 
 def _victim_prog() -> List[object]:
@@ -321,43 +312,29 @@ def _victim_prog() -> List[object]:
 _TRIGGER = "helper.bpf_ktime_get_ns"
 
 
-def demonstrate_recovery(schedule: str, seed: int) -> CaseResult:
+def demonstrate_recovery(schedule: str, seed: int) -> ReplayResult:
     """Drive one victim program through the full recovery arc under a
     canned schedule: repeated oopses → containment → quarantine
     (auto-detached from its hook) → refusal while the breaker is open
     → half-open auto-reload from the load cache → trial run →
     recovered.  Everything is checked; failures surface as violations
     exactly like corpus replays."""
-    kernel = Kernel()
-    supervisor = kernel.enable_recovery()
-    plane = kernel.faults
-    plane.enable(case_seed(seed, "recovery-demo", schedule))
-    # the trigger is armed BEFORE the schedule so it wins the site
-    # walk; panic() at a helper boundary is the [54]-style oops the
-    # containment path exists for
-    plane.arm(_TRIGGER, Probability(1.0), FaultAction.panic())
-    SCHEDULES[schedule](plane)
-    violations: List[str] = []
+    replay = _Replay("recovery-demo", schedule, seed, recover=True,
+                     trigger=_TRIGGER)
+    replay.signed.append(replay.supervisor.audit_signature)
+    return replay.run(lambda: _recovery_arc(replay))
+
+
+def _recovery_arc(replay: _Replay) -> str:
+    """The body of :func:`demonstrate_recovery`; returns its outcome."""
+    kernel, violations = replay.kernel, replay.violations
     bpf = BpfSubsystem(kernel)
-    prog = None
-    for _ in range(32):
-        # load-chaos may refuse even retried loads; keep asking
-        try:
-            prog = bpf.load_program(_victim_prog(), ProgType.KPROBE,
-                                    name="victim")
-            break
-        except VerifierError:
-            continue
+    prog = replay.load(bpf, _victim_prog, ProgType.KPROBE, "victim")
     if prog is None:
-        return CaseResult(
-            case_id="recovery-demo", schedule=schedule,
-            outcome="load-refused",
-            faults_injected=len(plane.records),
-            trace_signature=plane.trace_signature(),
-            violations=["recovery demo could not load the victim"])
+        return "load-refused"
     tag = f"bpf:{prog.name}"
     bpf.attach_trace(prog)  # so quarantine has a hook to detach
-    health = supervisor.health(tag)
+    health = replay.supervisor.health(tag)
     for _ in range(16):
         bpf.run_on_current_task(prog)
         if health.state is HealthState.QUARANTINED:
@@ -373,8 +350,7 @@ def demonstrate_recovery(schedule: str, seed: int) -> CaseResult:
         violations.append(
             f"open breaker did not refuse the run (got {refused:#x})")
     # cure the victim; the breaker must now walk back on its own
-    plane.disarm(_TRIGGER)
-    recovered = False
+    replay.plane.disarm(_TRIGGER)
     for _ in range(64):
         release = health.release_at_ns
         if release is not None \
@@ -382,32 +358,17 @@ def demonstrate_recovery(schedule: str, seed: int) -> CaseResult:
             kernel.clock.advance(release - kernel.clock.now_ns + 1)
         bpf.run_on_current_task(prog)
         if health.state is HealthState.HEALTHY:
-            recovered = True
             break
-    if not recovered:
+    else:
         violations.append("victim never recovered after quarantine")
     if health.reloads < 1:
         violations.append("breaker half-opened without auto-reload")
-    try:
-        kernel.check_alive()
-    except ReproError as exc:
-        violations.append(
-            f"kernel not alive after recovery demo: {exc}")
-    violations.extend(collect_violations(kernel))
-    violations.extend(recovery_consistent(kernel))
-    if not panic_path_consistent(kernel):
-        violations.append("taint/oops mismatch after recovery demo")
-    return CaseResult(
-        case_id="recovery-demo", schedule=schedule,
-        outcome="recovered" if recovered else "stuck",
-        faults_injected=len(plane.records),
-        trace_signature=(f"{plane.trace_signature()}:"
-                         f"{supervisor.audit_signature()}"),
-        violations=violations)
+    return ("recovered" if health.state is HealthState.HEALTHY
+            else "stuck")
 
 
 def run_dataplane_case(schedule: str, seed: int,
-                       recover: bool = False) -> CaseResult:
+                       recover: bool = False) -> ReplayResult:
     """Drive seeded adversarial traffic through the batched XDP
     pipeline while a canned schedule degrades the kernel under it.
 
@@ -417,23 +378,20 @@ def run_dataplane_case(schedule: str, seed: int,
     (exactness under batched multi-producer pressure), and the
     pipeline's summary/histogram signature is folded into the trace
     signature so ``--check-determinism`` also proves the data plane
-    is a pure function of the seed."""
+    is a pure function of the seed.  The supervisor's audit trail is
+    not signed here, even under ``recover``."""
     # imported here: faultinject must stay importable without the
     # net subsystem (and net imports ebpf, which imports this plane)
     from repro.net import DataPlane, LoadGen
     from repro.net import programs as xdp_programs
 
-    kernel = Kernel()
-    if recover:
-        kernel.enable_recovery()
-    plane = kernel.faults
-    plane.enable(case_seed(seed, "dataplane", schedule))
-    SCHEDULES[schedule](plane)
-    violations: List[str] = []
-    outcome = "completed"
+    replay = _Replay("dataplane", schedule, seed, recover)
+    kernel = replay.kernel
     bpf = BpfSubsystem(kernel, engine="compiled")
     data_plane = DataPlane(kernel, bpf, ringbuf_bytes=4096)
-    try:
+    replay.signed.append(data_plane.signature)
+
+    def drive() -> str:
         nic = data_plane.create_nic(1, "chaos0", queue_depth=64)
         sink = data_plane.create_nic(2, "chaos-sink")
         devmap = bpf.create_map("devmap", max_entries=4)
@@ -442,25 +400,12 @@ def run_dataplane_case(schedule: str, seed: int,
                 devmap.set_target(slot, sink.ifindex)
             except ReproError:
                 pass        # injected update failure: slot stays gone
-        prog = None
-        for __ in range(32):
-            # load-chaos may refuse even retried loads; keep asking
-            try:
-                prog = bpf.load_program(
-                    xdp_programs.redirect_by_source_prog(
-                        devmap.map_fd),
-                    ProgType.XDP, "chaos_redirect")
-                break
-            except VerifierError:
-                continue
+        prog = replay.load(
+            bpf, lambda: xdp_programs.redirect_by_source_prog(
+                devmap.map_fd),
+            ProgType.XDP, "chaos_redirect")
         if prog is None:
-            return CaseResult(
-                case_id="dataplane", schedule=schedule,
-                outcome="load-refused",
-                faults_injected=len(plane.records),
-                trace_signature=plane.trace_signature(),
-                violations=["dataplane replay could not load the "
-                            "redirect program"])
+            return "load-refused"
         data_plane.attach(prog, nic)
         generator = LoadGen(
             kernel, "adversarial",
@@ -469,32 +414,19 @@ def run_dataplane_case(schedule: str, seed: int,
         delivered = len(data_plane.drain())
         passed = data_plane.verdicts["pass"]
         if passed != delivered + data_plane.delivery_drops:
-            violations.append(
+            replay.violations.append(
                 f"ringbuf accounting off: {passed} PASS verdicts != "
                 f"{delivered} delivered + "
                 f"{data_plane.delivery_drops} counted drops")
-    except ReproError as exc:
-        outcome = f"raised:{type(exc).__name__}"
-    except Exception as exc:  # noqa: BLE001 — the point of the harness
-        outcome = f"escaped:{type(exc).__name__}"
-        violations.append(
-            "non-kernel exception escaped the data plane: "
-            f"{type(exc).__name__}: {exc}")
-    violations.extend(collect_violations(kernel))
-    if not panic_path_consistent(kernel):
-        violations.append("taint/oops mismatch after dataplane replay")
-    return CaseResult(
-        case_id="dataplane", schedule=schedule, outcome=outcome,
-        faults_injected=len(plane.records),
-        trace_signature=(f"{plane.trace_signature()}:"
-                         f"{data_plane.signature()}"),
-        violations=violations)
+        return "completed"
+
+    return replay.run(drive)
 
 
 def run_chaos(seed: int = DEFAULT_SEED,
               schedules: Optional[Sequence[str]] = None,
               case_ids: Optional[Sequence[str]] = None,
-              recover: bool = False) -> ChaosReport:
+              recover: bool = False) -> ReplayReport:
     """Replay the full corpus under every requested schedule."""
     names = list(schedules or SCHEDULES)
     for name in names:
@@ -514,61 +446,34 @@ def run_chaos(seed: int = DEFAULT_SEED,
                                           recover=recover))
         if recover:
             results.append(demonstrate_recovery(name, seed))
-    return ChaosReport(seed=seed, results=results)
+    return ReplayReport(seed=seed, results=results)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point (``make chaos``); returns the exit status."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.faultinject.chaos",
-        description="Replay the attack corpus under fault schedules "
-                    "and check isolation invariants.")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="master seed (default %(default)s)")
-    parser.add_argument("--schedule", action="append", default=None,
-                        choices=sorted(SCHEDULES),
-                        help="schedule to replay (repeatable; "
-                             "default: all)")
+    parser = replay_parser(
+        "python -m repro.faultinject.chaos",
+        "Replay the attack corpus under fault schedules and check "
+        "isolation invariants.", SCHEDULES)
     parser.add_argument("--case", action="append", default=None,
                         help="restrict to one case id (repeatable)")
-    parser.add_argument("--check-determinism", action="store_true",
-                        help="replay twice and require identical "
-                             "fault traces")
     parser.add_argument("--recover", action="store_true",
                         help="run supervised: kernels must stay alive "
                              "(contained oopses, no taint) and each "
                              "schedule must demonstrate quarantine + "
                              "auto-reload")
-    parser.add_argument("-v", "--verbose", action="store_true",
-                        help="print every case result")
     args = parser.parse_args(argv)
-
-    report = run_chaos(args.seed, args.schedule, args.case,
-                       recover=args.recover)
-    if args.verbose:
-        for r in report.results:
-            mark = "ok " if r.ok else "BAD"
-            print(f"  {mark} {r.schedule:>14} {r.case_id:<24} "
-                  f"faults={r.faults_injected:<3} {r.outcome}")
-    print(f"chaos: {len(report.results)} replays, "
-          f"{report.total_faults} faults injected, "
-          f"{len(report.violations)} violations "
-          f"(seed {report.seed})")
-    status = 0
-    for violation in report.violations:
-        print(f"chaos: VIOLATION: {violation}")
-        status = 1
-    if args.check_determinism:
-        again = run_chaos(args.seed, args.schedule, args.case,
-                          recover=args.recover)
-        if again.signature() != report.signature():
-            print("chaos: NONDETERMINISM: second replay produced a "
-                  "different fault trace")
-            status = 1
-        else:
-            print("chaos: determinism check passed "
-                  f"(signature {report.signature()[:16]}…)")
-    return status
+    return run_and_report(
+        "chaos",
+        lambda: run_chaos(args.seed, args.schedule, args.case,
+                          recover=args.recover),
+        lambda report: (f"{len(report.results)} replays, "
+                        f"{report.total('faults')} faults injected, "
+                        f"{len(report.violations)} violations "
+                        f"(seed {report.seed})"),
+        lambda r: (f"{r.key[1]:>14} {r.key[0]:<24} "
+                   f"faults={r.counts['faults']:<3} {r.outcome}"),
+        args.verbose, args.check_determinism)
 
 
 if __name__ == "__main__":

@@ -28,8 +28,7 @@ from typing import Dict
 from repro.faultinject.chaos import FLEET_SCHEDULES
 from repro.faultinject.plane import FaultAction, NthHit
 from repro.fleet.adapters.sim import FleetScenario, build_scenario
-from repro.fleet.journal import FileJournal, OrchestratorCrash
-from repro.fleet.services.orchestrator import RolloutOrchestrator
+from repro.fleet.journal import FileJournal
 
 
 def _scenario(args: object) -> FleetScenario:
@@ -125,12 +124,13 @@ def cmd_fleet_resume(args: object) -> int:
     Runs the rollout twice under the same seed (and optional channel
     chaos): once uninterrupted for the reference signature, once with
     ``fleet.orch.crash`` armed to kill the orchestrator every
-    ``--crash-after`` journal appends.  After each crash a **new**
-    orchestrator object is built over the surviving fleet and the
-    journal is re-read from disk — the dead control plane shares no
-    Python state with its successor beyond the journal file and the
-    world it already mutated.  Exit 0 iff the resumed report's
-    signature is bit-identical to the uninterrupted one."""
+    ``--crash-after`` journal appends.  After each crash
+    :meth:`~repro.fleet.adapters.sim.FleetScenario.rollout_through_crashes`
+    builds a **new** orchestrator over the surviving fleet and re-reads
+    the journal from disk — the dead control plane shares no Python
+    state with its successor beyond the journal file and the world it
+    already mutated.  Exit 0 iff the resumed report's signature is
+    bit-identical to the uninterrupted one."""
     reference = _scenario(args)
     scenario = _scenario(args)
     if args.chaos:
@@ -150,30 +150,11 @@ def cmd_fleet_resume(args: object) -> int:
     scenario.transport.plane.arm(
         "fleet.orch.crash", NthHit(args.crash_after, every=True),
         FaultAction.panic())
-    release = _pick_release(scenario, args.release)
-    report = None
-    crashes = 0
-    orchestrator = scenario.orchestrator
-    while report is None:
-        try:
-            if crashes == 0:
-                report = orchestrator.rollout(
-                    release.release_id, seed=args.seed,
-                    journal=FileJournal(path))
-            else:
-                report = orchestrator.resume(FileJournal(path))
-        except OrchestratorCrash as crash:
-            crashes += 1
-            if crashes > 500:
-                raise RuntimeError("crash/resume never converged")
-            if not args.json:
-                print(f"# crash {crashes}: {crash}")
-            # the control plane died: its successor shares only the
-            # journal file and the fleet it already acted on
-            orchestrator = RolloutOrchestrator(
-                scenario.fleet, scenario.registry,
-                telemetry=scenario.telemetry,
-                transport=scenario.transport)
+    report, crashes = scenario.rollout_through_crashes(
+        release.release_id, args.seed, lambda: FileJournal(path),
+        max_crashes=500,
+        on_crash=None if args.json else
+        lambda count, crash: print(f"# crash {count}: {crash}"))
     match = report.signature() == baseline.signature()
     if args.json:
         body = report.as_dict()

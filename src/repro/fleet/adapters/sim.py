@@ -30,9 +30,13 @@ from repro.ebpf.helpers import ids
 from repro.ebpf.isa import R0
 from repro.ebpf.progs import ProgType
 from repro.fleet.adapters.node import FleetNode
+from repro.fleet.journal import OrchestratorCrash, RolloutJournal
 from repro.fleet.ports import DeployResult, FleetPort
 from repro.fleet.services.aggregate import FleetTelemetry
-from repro.fleet.services.orchestrator import RolloutOrchestrator
+from repro.fleet.services.orchestrator import (
+    RolloutOrchestrator,
+    RolloutReport,
+)
 from repro.fleet.services.registry import Release, ReleaseRegistry
 from repro.fleet.transport import FleetTransport, RetryPolicy
 from repro.kernel import KernelSpec
@@ -167,6 +171,45 @@ class FleetScenario:
     bad: Release
     #: the control channel (arm chaos on ``transport.plane``)
     transport: FleetTransport
+
+    def rollout_through_crashes(
+            self, release_id: str, seed: int,
+            journal: Callable[[], RolloutJournal], max_crashes: int,
+            on_crash: Optional[Callable[[int, OrchestratorCrash],
+                                        None]] = None,
+    ) -> Tuple[RolloutReport, int]:
+        """Roll ``release_id`` out until it lands, however often the
+        orchestrator dies (an armed ``fleet.orch.crash``).
+
+        After each :class:`~repro.fleet.journal.OrchestratorCrash` a
+        **fresh** orchestrator is built over the same fleet, registry,
+        telemetry and transport and resumes from ``journal()`` — the
+        caller's in-memory journal, or a file journal reopened from
+        its path — so the dead control plane shares nothing with its
+        successor beyond the journal and the world it already acted
+        on.  ``on_crash(crashes, crash)`` sees each crash.  Returns
+        the finished report and the number of crashes survived;
+        raises ``RuntimeError`` past ``max_crashes``."""
+        orchestrator = self.orchestrator
+        crashes = 0
+        while True:
+            try:
+                if crashes == 0:
+                    report = orchestrator.rollout(
+                        release_id, seed=seed, journal=journal())
+                else:
+                    report = orchestrator.resume(journal())
+                return report, crashes
+            except OrchestratorCrash as crash:
+                crashes += 1
+                if crashes > max_crashes:
+                    raise RuntimeError(
+                        "crash/resume loop never converged") from crash
+                if on_crash is not None:
+                    on_crash(crashes, crash)
+                orchestrator = RolloutOrchestrator(
+                    self.fleet, self.registry, telemetry=self.telemetry,
+                    transport=self.transport)
 
 
 def build_scenario(size: int, seed: int,

@@ -21,13 +21,16 @@ checks:
    ``make chaos``.
 4. **Crash + resume** — per schedule, the rollout is additionally run
    with ``fleet.orch.crash`` armed: the orchestrator dies at a
-   journal-append boundary, ``resume()`` picks the journal up
-   (repeatedly, if the crash schedule keeps firing), and the finished
-   report's signature must be **bit-identical** to the uninterrupted
-   run's.
+   journal-append boundary and a fresh one resumes from the journal
+   (repeatedly, if the crash schedule keeps firing —
+   :meth:`~repro.fleet.adapters.sim.FleetScenario.rollout_through_crashes`),
+   and the finished report's signature must be **bit-identical** to
+   the uninterrupted run's, which is rolled out once and shared.
 5. **Determinism** — ``--check-determinism`` replays the whole
    harness twice and compares report signatures (``make fleet-chaos``
    does this by default).
+
+Results, report and CLI come from :mod:`repro.faultinject.replay`.
 
 ``REPRO_FLEET_SMOKE=1`` (CI) shrinks the fleet and the schedule list.
 
@@ -36,23 +39,27 @@ Run it: ``PYTHONPATH=src python -m repro.fleet.chaos``.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from repro.faultinject.chaos import FLEET_SCHEDULES, case_seed
+from repro.faultinject.chaos import FLEET_SCHEDULES
 from repro.faultinject.invariants import (
     collect_violations,
     panic_path_consistent,
 )
 from repro.faultinject.plane import FaultAction, NthHit
+from repro.faultinject.replay import (
+    DEFAULT_SEED,
+    ReplayReport,
+    ReplayResult,
+    case_seed,
+    replay_parser,
+    run_and_report,
+)
 from repro.fleet.adapters.sim import FleetScenario, build_scenario
-from repro.fleet.journal import MemoryJournal, OrchestratorCrash
+from repro.fleet.journal import MemoryJournal
 
-DEFAULT_SEED = 20230622  # HotOS'23
 DEFAULT_SIZE = 24
 SMOKE_SIZE = 10
 #: the schedules the CI smoke run keeps (cheapest + the kitchen sink)
@@ -63,57 +70,6 @@ SMOKE_SCHEDULES = ("rpc-drops", "fleet-pressure")
 CRASH_EVERY = 23
 #: safety valve for the resume loop — far above any real replay
 MAX_RESUMES = 200
-
-
-@dataclass
-class FleetCaseResult:
-    """One (schedule × release) rollout under fire."""
-
-    schedule: str
-    release: str
-    outcome: str
-    signature: str
-    rpc_retries: int
-    rpc_unreachable: int
-    stuck: int
-    unreachable: int
-    resumes: int = 0
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when every invariant held for this replay."""
-        return not self.violations
-
-
-@dataclass
-class FleetChaosReport:
-    """One full fleet-under-fire replay."""
-
-    seed: int
-    size: int
-    results: List[FleetCaseResult]
-
-    @property
-    def violations(self) -> List[str]:
-        """Every violation, labeled by schedule and release."""
-        return [f"{r.schedule} × {r.release}: {v}"
-                for r in self.results for v in r.violations]
-
-    @property
-    def clean(self) -> bool:
-        """True when the whole replay held every invariant."""
-        return not self.violations
-
-    def signature(self) -> str:
-        """Digest over every rollout signature — the determinism
-        pin for whole-harness comparisons."""
-        digest = hashlib.sha256()
-        for r in self.results:
-            digest.update(
-                f"{r.schedule}:{r.release}:{r.outcome}:"
-                f"{r.signature}:{r.resumes}".encode())
-        return digest.hexdigest()
 
 
 def _check_fleet(scenario: FleetScenario, report: object,
@@ -147,77 +103,74 @@ def _check_fleet(scenario: FleetScenario, report: object,
     return violations
 
 
-def run_fleet_case(schedule: str, release: str, seed: int,
-                   size: int) -> FleetCaseResult:
-    """One rollout of ``release`` under one channel schedule."""
+def _armed_scenario(schedule: str, release: str, seed: int,
+                    size: int) -> Tuple[FleetScenario, str]:
+    """A fresh fleet with ``schedule`` armed on its channel, and the
+    id of ``release`` ("good" or "bad") to roll out."""
     scenario = build_scenario(size, seed=seed)
     FLEET_SCHEDULES[schedule](scenario.transport.plane)
-    target = (scenario.bad if release == "bad"
-              else scenario.good)
-    violations: List[str] = []
-    try:
-        report = scenario.orchestrator.rollout(
-            target.release_id, seed=seed)
-    except Exception as exc:  # noqa: BLE001 — the point of the harness
-        return FleetCaseResult(
-            schedule=schedule, release=release,
-            outcome=f"escaped:{type(exc).__name__}", signature="",
-            rpc_retries=0, rpc_unreachable=0, stuck=0, unreachable=0,
-            violations=[
-                "exception escaped the rollout under channel chaos: "
-                f"{type(exc).__name__}: {exc}"])
-    violations.extend(
-        _check_fleet(scenario, report, bad_release=(release == "bad")))
-    return FleetCaseResult(
-        schedule=schedule, release=release, outcome=report.outcome,
-        signature=report.signature(),
-        rpc_retries=report.rpc_retries,
-        rpc_unreachable=report.rpc_unreachable,
-        stuck=len(report.stuck_nodes),
-        unreachable=len(report.unreachable_nodes),
+    target = scenario.bad if release == "bad" else scenario.good
+    return scenario, target.release_id
+
+
+def _result(schedule: str, release: str, outcome: str, signature: str,
+            report: object, violations: List[str],
+            resumes: int = 0) -> ReplayResult:
+    """One finished rollout's result."""
+    return ReplayResult(
+        key=(schedule, release), outcome=outcome, signature=signature,
+        counts={"retries": report.rpc_retries,
+                "unreachable": len(report.unreachable_nodes),
+                "stuck": len(report.stuck_nodes), "resumes": resumes},
         violations=violations)
 
 
+def _escaped(schedule: str, release: str, leg: str,
+             exc: Exception) -> ReplayResult:
+    """An exception crossed out of a rollout: that is the violation."""
+    return ReplayResult(
+        key=(schedule, release), outcome=f"escaped:{type(exc).__name__}",
+        signature="",
+        counts={"retries": 0, "unreachable": 0, "stuck": 0, "resumes": 0},
+        violations=[f"exception escaped {leg}: "
+                    f"{type(exc).__name__}: {exc}"])
+
+
+def run_fleet_case(schedule: str, release: str, seed: int,
+                   size: int) -> ReplayResult:
+    """One rollout of ``release`` under one channel schedule."""
+    scenario, release_id = _armed_scenario(schedule, release, seed, size)
+    try:
+        report = scenario.orchestrator.rollout(release_id, seed=seed)
+    except Exception as exc:  # noqa: BLE001 — the point of the harness
+        return _escaped(schedule, release,
+                        "the rollout under channel chaos", exc)
+    return _result(
+        schedule, release, report.outcome, report.signature(), report,
+        _check_fleet(scenario, report, bad_release=(release == "bad")))
+
+
 def run_crash_resume_case(schedule: str, release: str, seed: int,
-                          size: int) -> FleetCaseResult:
-    """The durability leg: same rollout, but the orchestrator is
-    killed every :data:`CRASH_EVERY` journal appends and resumed from
-    the journal until it lands — the finished signature must be
-    bit-identical to the uninterrupted run's."""
-    baseline = run_fleet_case(schedule, release, seed, size)
-    scenario = build_scenario(size, seed=seed)
-    FLEET_SCHEDULES[schedule](scenario.transport.plane)
+                          size: int,
+                          uninterrupted: ReplayResult) -> ReplayResult:
+    """The durability leg: the same rollout as ``uninterrupted`` (the
+    :func:`run_fleet_case` result for the same arguments), but the
+    orchestrator is killed every :data:`CRASH_EVERY` journal appends
+    and a fresh one resumes from the journal until it lands — the
+    finished signature must be bit-identical to the uninterrupted
+    run's."""
+    scenario, release_id = _armed_scenario(schedule, release, seed, size)
     scenario.transport.plane.arm(
         "fleet.orch.crash", NthHit(CRASH_EVERY, every=True),
         FaultAction.panic())
-    target = (scenario.bad if release == "bad"
-              else scenario.good)
     journal = MemoryJournal()
-    violations: List[str] = list(baseline.violations)
-    report = None
-    resumes = 0
     try:
-        while report is None:
-            try:
-                if resumes == 0:
-                    report = scenario.orchestrator.rollout(
-                        target.release_id, seed=seed, journal=journal)
-                else:
-                    report = scenario.orchestrator.resume(journal)
-            except OrchestratorCrash:
-                resumes += 1
-                if resumes > MAX_RESUMES:
-                    raise RuntimeError(
-                        "crash/resume loop never converged")
+        report, resumes = scenario.rollout_through_crashes(
+            release_id, seed, lambda: journal, MAX_RESUMES)
     except Exception as exc:  # noqa: BLE001 — the point of the harness
-        return FleetCaseResult(
-            schedule=schedule, release=release,
-            outcome=f"escaped:{type(exc).__name__}", signature="",
-            rpc_retries=0, rpc_unreachable=0, stuck=0, unreachable=0,
-            resumes=resumes,
-            violations=violations + [
-                "exception escaped the crash/resume leg: "
-                f"{type(exc).__name__}: {exc}"])
+        return _escaped(schedule, release, "the crash/resume leg", exc)
+    violations = _check_fleet(scenario, report,
+                              bad_release=(release == "bad"))
     if resumes == 0:
         violations.append(
             "crash leg never crashed — fleet.orch.crash is dead "
@@ -226,25 +179,20 @@ def run_crash_resume_case(schedule: str, release: str, seed: int,
         violations.append(
             "resumed rollout finished but its journal is not "
             "complete")
-    if report.signature() != baseline.signature:
+    if report.signature() != uninterrupted.signature:
         violations.append(
             f"resumed signature {report.signature()[:16]} != "
-            f"uninterrupted {baseline.signature[:16]} — the journal "
-            "replay diverged")
-    return FleetCaseResult(
-        schedule=schedule, release=release,
-        outcome=f"{report.outcome}+resumed", signature=baseline.signature,
-        rpc_retries=report.rpc_retries,
-        rpc_unreachable=report.rpc_unreachable,
-        stuck=len(report.stuck_nodes),
-        unreachable=len(report.unreachable_nodes),
-        resumes=resumes, violations=violations)
+            f"uninterrupted {uninterrupted.signature[:16]} — the "
+            "journal replay diverged")
+    return _result(
+        schedule, release, f"{report.outcome}+resumed",
+        uninterrupted.signature, report, violations, resumes)
 
 
 def run_fleet_chaos(seed: int = DEFAULT_SEED,
                     size: int = DEFAULT_SIZE,
                     schedules: Optional[Sequence[str]] = None,
-                    ) -> FleetChaosReport:
+                    ) -> ReplayReport:
     """Replay both releases under every requested channel schedule,
     plus the crash/resume leg per pair."""
     names = list(schedules or FLEET_SCHEDULES)
@@ -253,68 +201,45 @@ def run_fleet_chaos(seed: int = DEFAULT_SEED,
             raise ValueError(
                 f"unknown fleet schedule {name!r} "
                 f"(have: {', '.join(FLEET_SCHEDULES)})")
-    results: List[FleetCaseResult] = []
+    results: List[ReplayResult] = []
     for name in names:
         for release in ("good", "bad"):
             rollout_seed = case_seed(seed, f"fleet-{release}", name)
-            results.append(run_fleet_case(
-                name, release, rollout_seed, size))
+            uninterrupted = run_fleet_case(
+                name, release, rollout_seed, size)
+            results.append(uninterrupted)
             results.append(run_crash_resume_case(
-                name, release, rollout_seed, size))
-    return FleetChaosReport(seed=seed, size=size, results=results)
+                name, release, rollout_seed, size, uninterrupted))
+    return ReplayReport(seed=seed, results=results, signed=("resumes",))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point (``make fleet-chaos``); returns exit status."""
     smoke = os.environ.get("REPRO_FLEET_SMOKE") == "1"
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.fleet.chaos",
-        description="Roll releases out over an unreliable control "
-                    "channel and check the fleet invariants.")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="master seed (default %(default)s)")
+    parser = replay_parser(
+        "python -m repro.fleet.chaos",
+        "Roll releases out over an unreliable control channel and "
+        "check the fleet invariants.", FLEET_SCHEDULES)
     parser.add_argument("--size", type=int,
                         default=SMOKE_SIZE if smoke else DEFAULT_SIZE,
                         help="fleet size per rollout "
                              "(default %(default)s)")
-    parser.add_argument("--schedule", action="append", default=None,
-                        choices=sorted(FLEET_SCHEDULES),
-                        help="channel schedule to replay "
-                             "(repeatable; default: all)")
-    parser.add_argument("--check-determinism", action="store_true",
-                        help="replay twice and require identical "
-                             "report signatures")
-    parser.add_argument("-v", "--verbose", action="store_true",
-                        help="print every replay result")
     args = parser.parse_args(argv)
     schedules = args.schedule or (
         list(SMOKE_SCHEDULES) if smoke else None)
-
-    report = run_fleet_chaos(args.seed, args.size, schedules)
-    if args.verbose:
-        for r in report.results:
-            mark = "ok " if r.ok else "BAD"
-            print(f"  {mark} {r.schedule:>14} {r.release:<4} "
-                  f"{r.outcome:<22} retries={r.rpc_retries:<3} "
-                  f"unreachable={r.unreachable} stuck={r.stuck} "
-                  f"resumes={r.resumes}")
-    print(f"fleet-chaos: {len(report.results)} rollouts over "
-          f"{report.size} nodes, {len(report.violations)} violations "
-          f"(seed {report.seed})")
-    status = 0
-    for violation in report.violations:
-        print(f"fleet-chaos: VIOLATION: {violation}")
-        status = 1
-    if args.check_determinism:
-        again = run_fleet_chaos(args.seed, args.size, schedules)
-        if again.signature() != report.signature():
-            print("fleet-chaos: NONDETERMINISM: second replay "
-                  "produced different rollout signatures")
-            status = 1
-        else:
-            print("fleet-chaos: determinism check passed "
-                  f"(signature {report.signature()[:16]}…)")
-    return status
+    return run_and_report(
+        "fleet-chaos",
+        lambda: run_fleet_chaos(args.seed, args.size, schedules),
+        lambda report: (f"{len(report.results)} rollouts over "
+                        f"{args.size} nodes, "
+                        f"{len(report.violations)} violations "
+                        f"(seed {report.seed})"),
+        lambda r: (f"{r.key[0]:>14} {r.key[1]:<4} {r.outcome:<22} "
+                   f"retries={r.counts['retries']:<3} "
+                   f"unreachable={r.counts['unreachable']} "
+                   f"stuck={r.counts['stuck']} "
+                   f"resumes={r.counts['resumes']}"),
+        args.verbose, args.check_determinism)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ collect return values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 XDP_DROP = 1

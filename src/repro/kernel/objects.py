@@ -14,10 +14,10 @@ them through raw addresses — and fault exactly where real code would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.kernel.memory import Allocation, KernelAddressSpace
-from repro.kernel.refcount import RefcountedObject, RefcountRegistry
+from repro.kernel.refcount import RefcountRegistry
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ extension leak?" after the fact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import ResourceLeak, UseAfterFree
 

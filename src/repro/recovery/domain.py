@@ -20,7 +20,7 @@ supervisor refuses to clear the taint and escalates instead.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 _RINGBUF_REC = re.compile(r"ringbuf\d+_rec$")

@@ -46,25 +46,32 @@ def test_recovery_demo_is_deterministic():
     two = demonstrate_recovery("helper-errno", seed=77)
     # the trace signature folds in the supervisor audit signature, so
     # equality means identical faults, decisions, and backoff timings
-    assert one.trace_signature == two.trace_signature
+    assert one.signature == two.signature
     assert one.outcome == two.outcome
 
 
-def test_supervised_chaos_seeds_differ():
-    one = run_chaos(seed=77, case_ids=FAST_CASES, recover=True)
+@pytest.fixture(scope="module")
+def supervised77():
+    """The supervised seed-77 fast-subset replay, computed once per
+    module."""
+    return run_chaos(seed=77, case_ids=FAST_CASES, recover=True)
+
+
+def test_supervised_chaos_seeds_differ(supervised77):
+    one = supervised77
     two = run_chaos(seed=78, case_ids=FAST_CASES, recover=True)
     assert one.signature() != two.signature()
 
 
-def test_supervised_chaos_is_pure_function_of_seed():
-    one = run_chaos(seed=77, case_ids=FAST_CASES, recover=True)
+def test_supervised_chaos_is_pure_function_of_seed(supervised77):
+    one = supervised77
     two = run_chaos(seed=77, case_ids=FAST_CASES, recover=True)
     assert one.clean, "; ".join(one.violations)
     assert one.signature() == two.signature()
 
     def rows(report):
-        return [(r.case_id, r.schedule, r.outcome, r.faults_injected,
-                 r.trace_signature) for r in report.results]
+        return [(r.key, r.outcome, r.counts, r.signature)
+                for r in report.results]
     assert rows(one) == rows(two)
 
 
